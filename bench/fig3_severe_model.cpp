@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     obs_rec.manifest().config.emplace("cases", util::JsonValue(options.case_count));
     obs_rec.manifest().config.emplace("severe_period",
                                       util::JsonValue(options.severe_period));
-    obs_rec.manifest().fastpath = options.use_fastpath;
+    obs_rec.manifest().fastpath = options.use_batch;
 
     const std::vector<exp::SubsetSpec> subsets = {
         {"EH-set", {"EA1", "EA2", "EA3", "EA4", "EA5", "EA6", "EA7"}},

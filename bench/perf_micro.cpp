@@ -1,18 +1,15 @@
 // Micro-benchmarks (google-benchmark): simulation kernel throughput, EA
 // evaluation overhead (the execution-time side of Table 3's resource
-// argument), golden-run capture, fault-injection fast-path speedup, and
+// argument), golden-run capture, injection-engine speedup, and
 // analysis-algorithm scaling on synthetic layered systems.
 //
-// With --fastpath-json=PATH the binary skips the benchmark registry and
-// instead times one paired permeability campaign — scalar fast path vs
-// --no-fastpath — writing a machine-readable comparison (ticks/s, runs/s,
-// pruned %, speedup) to PATH. Scale with EPEA_CASES / EPEA_TIMES.
-//
-// With --batch-json=PATH it times the batched SoA kernel (DESIGN.md §14)
-// against the scalar fast path on the same campaign, verifies the two
+// With --batch-json=PATH the binary skips the benchmark registry and
+// instead times one paired permeability campaign — the batched injection
+// engine (DESIGN.md §9) against `--no-batch` replay — verifies the two
 // matrices are cell-identical (values and estimation counts), and writes
-// the comparison with per-lane retirement counters to PATH (committed as
-// BENCH_batch.json).
+// the comparison (ticks/s, runs/s, speedup, per-lane retirement counters)
+// to PATH (committed as BENCH_batch.json). Scale with EPEA_CASES /
+// EPEA_TIMES.
 //
 // With --metrics-json=PATH it instead times the observability overhead:
 // the same campaign with the tracer+metrics hot path armed vs disarmed
@@ -176,40 +173,14 @@ void BM_ExposureProfileSynthetic(benchmark::State& state) {
 }
 BENCHMARK(BM_ExposureProfileSynthetic)->Arg(4)->Arg(16)->Arg(64);
 
-/// One small permeability campaign (2 cases, 1 moment per bit), fast path
-/// vs slow path selected by the arg — the per-iteration time ratio is the
-/// fast-path speedup at micro scale.
-void BM_CampaignFastpath(benchmark::State& state) {
-    target::ArrestmentSystem sys;
-    exp::CampaignOptions options;
-    options.case_count = 2;
-    options.times_per_bit = 1;
-    options.use_fastpath = state.range(0) != 0;
-    fi::FastPathStats stats;
-    options.fastpath_out = &stats;
-    fi::GoldenCache cache;  // keep goldens warm across iterations
-    options.golden_cache = &cache;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(exp::estimate_arrestment_permeability(sys, options));
-    }
-    const auto runs = static_cast<double>(stats.runs());
-    const auto covered = static_cast<double>(stats.ticks_executed + stats.ticks_saved);
-    state.counters["runs/s"] = benchmark::Counter(runs, benchmark::Counter::kIsRate);
-    state.counters["ticks/s"] = benchmark::Counter(covered, benchmark::Counter::kIsRate);
-    state.counters["pruned_pct"] =
-        runs > 0 ? 100.0 * static_cast<double>(stats.pruned_runs) / runs : 0.0;
-}
-BENCHMARK(BM_CampaignFastpath)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// The same micro campaign with the fast path on, batch kernel off/on by
-/// the arg — the per-iteration time ratio is the batch speedup on top of
-/// the scalar fast path at micro scale.
+/// One small permeability campaign (2 cases, 1 moment per bit), replay
+/// vs the batched engine selected by the arg — the per-iteration time
+/// ratio is the engine's speedup at micro scale.
 void BM_CampaignBatch(benchmark::State& state) {
     target::ArrestmentSystem sys;
     exp::CampaignOptions options;
     options.case_count = 2;
     options.times_per_bit = 1;
-    options.use_fastpath = true;
     options.use_batch = state.range(0) != 0;
     fi::FastPathStats stats;
     options.fastpath_out = &stats;
@@ -232,21 +203,20 @@ void BM_CampaignBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignBatch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------------- --fastpath-json mode
+// --------------------------------------------------- --batch-json mode
 
-struct FastpathTiming {
+struct CampaignTiming {
     double wall_s = 0.0;
     std::size_t runs = 0;
     fi::FastPathStats stats;
 };
 
-FastpathTiming time_permeability_campaign(
-    const exp::CampaignOptions& base, bool fastpath, bool batch = false,
+CampaignTiming time_permeability_campaign(
+    const exp::CampaignOptions& base, bool batch,
     std::vector<epic::PairEntry>* entries_out = nullptr) {
     exp::CampaignOptions options = base;
-    options.use_fastpath = fastpath;
     options.use_batch = batch;
-    FastpathTiming t;
+    CampaignTiming t;
     options.fastpath_out = &t.stats;
     const auto t0 = std::chrono::steady_clock::now();
     const epic::PermeabilityMatrix pm =
@@ -274,7 +244,7 @@ bool entries_identical(const std::vector<epic::PairEntry>& a,
     return true;
 }
 
-void print_timing_json(std::FILE* f, const char* name, const FastpathTiming& t,
+void print_timing_json(std::FILE* f, const char* name, const CampaignTiming& t,
                        bool with_lanes = false) {
     const double covered =
         static_cast<double>(t.stats.ticks_executed + t.stats.ticks_saved);
@@ -320,72 +290,32 @@ void print_timing_json(std::FILE* f, const char* name, const FastpathTiming& t,
     std::fprintf(f, "\n  }");
 }
 
-/// Paired fast-vs-slow Table-1 permeability campaign; writes the
-/// comparison to `path` and returns a process exit code.
-int write_fastpath_json(const std::string& path) {
-    const exp::CampaignOptions options = exp::CampaignOptions::from_env();
-    std::fprintf(stderr, "fastpath bench: %zu cases x %zu moments per bit\n",
-                 options.case_count, options.times_per_bit);
-    const FastpathTiming slow = time_permeability_campaign(options, false);
-    std::fprintf(stderr, "  slow (--no-fastpath): %.2fs, %zu runs\n", slow.wall_s,
-                 slow.runs);
-    const FastpathTiming fast = time_permeability_campaign(options, true);
-    std::fprintf(stderr, "  fast:                 %.2fs, %zu runs\n", fast.wall_s,
-                 fast.runs);
-    if (fast.runs != slow.runs) {
-        std::fprintf(stderr, "error: run counts differ (fast %zu vs slow %zu)\n",
-                     fast.runs, slow.runs);
-        return 1;
-    }
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"BM_CampaignFastpath\",\n");
-    std::fprintf(f, "  \"campaign\": \"table1_permeability\",\n");
-    std::fprintf(f, "  \"cases\": %zu,\n  \"times_per_bit\": %zu,\n",
-                 options.case_count, options.times_per_bit);
-    print_timing_json(f, "slow", slow);
-    std::fprintf(f, ",\n");
-    print_timing_json(f, "fast", fast);
-    std::fprintf(f, ",\n  \"speedup\": %.2f\n}\n",
-                 fast.wall_s > 0 ? slow.wall_s / fast.wall_s : 0.0);
-    std::fclose(f);
-    std::fprintf(stderr, "  speedup: %.2fx -> %s\n",
-                 fast.wall_s > 0 ? slow.wall_s / fast.wall_s : 0.0, path.c_str());
-    return 0;
-}
-
-// --------------------------------------------------- --batch-json mode
-
-/// Paired batch-vs-scalar-fast-path Table-1 permeability campaign. Both
-/// arms use the fast path (golden forking + pruning); the batch arm
-/// additionally routes the one-shot plans through the SoA lockstep
-/// kernel. The two matrices must be cell-identical — the comparison is
-/// refused otherwise. Writes the timing comparison to `path` and returns
-/// a process exit code.
+/// Paired batch-vs-replay Table-1 permeability campaign: the reference
+/// arm replays every run from tick 0 (`--no-batch`), the batch arm forks
+/// the one-shot plans as lockstep lanes. The two matrices must be
+/// cell-identical — the comparison is refused otherwise. Writes the
+/// timing comparison to `path` and returns a process exit code.
 int write_batch_json(const std::string& path) {
     const exp::CampaignOptions options = exp::CampaignOptions::from_env();
     std::fprintf(stderr, "batch bench: %zu cases x %zu moments per bit\n",
                  options.case_count, options.times_per_bit);
-    std::vector<epic::PairEntry> scalar_entries;
-    const FastpathTiming fast =
-        time_permeability_campaign(options, true, false, &scalar_entries);
-    std::fprintf(stderr, "  fast (--no-batch): %.2fs, %zu runs\n", fast.wall_s,
-                 fast.runs);
+    std::vector<epic::PairEntry> replay_entries;
+    const CampaignTiming replay =
+        time_permeability_campaign(options, false, &replay_entries);
+    std::fprintf(stderr, "  replay (--no-batch): %.2fs, %zu runs\n", replay.wall_s,
+                 replay.runs);
     std::vector<epic::PairEntry> batch_entries;
-    const FastpathTiming batch =
-        time_permeability_campaign(options, true, true, &batch_entries);
-    std::fprintf(stderr, "  batch:             %.2fs, %zu runs\n", batch.wall_s,
+    const CampaignTiming batch =
+        time_permeability_campaign(options, true, &batch_entries);
+    std::fprintf(stderr, "  batch:               %.2fs, %zu runs\n", batch.wall_s,
                  batch.runs);
-    if (fast.runs != batch.runs) {
-        std::fprintf(stderr, "error: run counts differ (batch %zu vs fast %zu)\n",
-                     batch.runs, fast.runs);
+    if (replay.runs != batch.runs) {
+        std::fprintf(stderr, "error: run counts differ (batch %zu vs replay %zu)\n",
+                     batch.runs, replay.runs);
         return 1;
     }
-    if (!entries_identical(scalar_entries, batch_entries)) {
-        std::fprintf(stderr, "error: batch matrix differs from scalar matrix\n");
+    if (!entries_identical(replay_entries, batch_entries)) {
+        std::fprintf(stderr, "error: batch matrix differs from replay matrix\n");
         return 1;
     }
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -398,24 +328,25 @@ int write_batch_json(const std::string& path) {
     std::fprintf(f, "  \"cases\": %zu,\n  \"times_per_bit\": %zu,\n",
                  options.case_count, options.times_per_bit);
     std::fprintf(f, "  \"matrices_identical\": true,\n");
-    print_timing_json(f, "fast", fast);
+    print_timing_json(f, "replay", replay);
     std::fprintf(f, ",\n");
     print_timing_json(f, "batch", batch, /*with_lanes=*/true);
     std::fprintf(f, ",\n  \"speedup\": %.2f\n}\n",
-                 batch.wall_s > 0 ? fast.wall_s / batch.wall_s : 0.0);
+                 batch.wall_s > 0 ? replay.wall_s / batch.wall_s : 0.0);
     std::fclose(f);
     std::fprintf(stderr, "  speedup: %.2fx -> %s\n",
-                 batch.wall_s > 0 ? fast.wall_s / batch.wall_s : 0.0, path.c_str());
+                 batch.wall_s > 0 ? replay.wall_s / batch.wall_s : 0.0, path.c_str());
     return 0;
 }
 
 // ------------------------------------------------- --metrics-json mode
 
-/// Observability overhead on the Table-1 permeability campaign: tracer
-/// and metrics armed vs disarmed in the same binary (the armed run is
-/// what `campaign run` pays; a build with -DEPEA_OBS_ENABLED=OFF compiles
-/// even the disarmed checks away). Best-of-N wall times tame scheduler
-/// noise at small campaign sizes.
+/// Observability overhead on the Table-1 permeability campaign, replayed:
+/// tracer and metrics armed vs disarmed in the same binary (the armed run
+/// bounds what `campaign run` pays — replay carries the densest span
+/// sites; a build with -DEPEA_OBS_ENABLED=OFF compiles even the disarmed
+/// checks away). Best-of-N wall times tame scheduler noise at small
+/// campaign sizes.
 int write_obs_json(const std::string& path) {
     const exp::CampaignOptions options = exp::CampaignOptions::from_env();
     std::size_t reps = 3;
@@ -427,7 +358,7 @@ int write_obs_json(const std::string& path) {
 
     obs::Tracer& tracer = obs::Tracer::instance();
     struct ArmTiming {
-        FastpathTiming t;
+        CampaignTiming t;
         double cpu_s = 0.0;
     };
     const auto timed = [&](bool armed) {
@@ -435,7 +366,10 @@ int write_obs_json(const std::string& path) {
         tracer.set_enabled(armed);
         ArmTiming a;
         const double cpu0 = obs::process_cpu_seconds();
-        a.t = time_permeability_campaign(options, true);
+        // Replay opens sampled spans per run (fi.run, sim.run) — the
+        // densest instrumentation; the batched engine records one span
+        // per flush, too few to measure against run-to-run noise.
+        a.t = time_permeability_campaign(options, /*batch=*/false);
         a.cpu_s = obs::process_cpu_seconds() - cpu0;
         return a;
     };
@@ -757,10 +691,6 @@ int write_analytic_json(const std::string& path) {
 int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const std::string prefix = "--fastpath-json=";
-        if (arg.rfind(prefix, 0) == 0) {
-            return write_fastpath_json(arg.substr(prefix.size()));
-        }
         const std::string batch_prefix = "--batch-json=";
         if (arg.rfind(batch_prefix, 0) == 0) {
             return write_batch_json(arg.substr(batch_prefix.size()));

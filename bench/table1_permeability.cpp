@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     obs_rec.manifest().config.emplace("times_per_bit",
                                       util::JsonValue(options.times_per_bit));
     obs_rec.manifest().seed_base = options.seed;
-    obs_rec.manifest().fastpath = options.use_fastpath;
+    obs_rec.manifest().fastpath = options.use_batch;
 
     std::printf("Table 1 — error permeability per input/output pair\n");
     std::printf("Campaign: %zu test cases, %zu injection moments per bit\n\n",

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     obs_rec.manifest().config.emplace(
         "times_per_bit", util::JsonValue(options.campaign.times_per_bit));
     obs_rec.manifest().seed_base = options.campaign.seed;
-    obs_rec.manifest().fastpath = options.campaign.use_fastpath;
+    obs_rec.manifest().fastpath = options.campaign.use_batch;
     fi::FastPathStats fastpath;
     options.campaign.fastpath_out = &fastpath;
 

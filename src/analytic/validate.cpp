@@ -6,7 +6,7 @@
 #include "alt/tank_system.hpp"
 #include "epic/measures.hpp"
 #include "exp/paper_data.hpp"
-#include "fi/comparison.hpp"
+#include "fi/batch.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/injection.hpp"
 #include "fi/injector.hpp"
@@ -178,9 +178,14 @@ CampaignCheck campaign_check(const exp::CampaignOptions& options,
     const std::size_t case_count = std::min(
         options.case_count, cases.size() - std::min(options.case_first, cases.size()));
     fi::Injector injector(sys.sim());
-    fi::InjectionRunner runner(sys.sim(), injector);
-    runner.set_enabled(options.use_fastpath);
+    fi::BatchRunner batch(sys.sim(), injector);
+    batch.set_mode(fi::BatchRunner::Mode::kPermeability);
     fi::GoldenCache cache;
+    struct Tally {
+        std::size_t input = 0;
+        std::size_t ticket = 0;
+    };
+    std::vector<Tally> tallies;
 
     CampaignCheck check;
     for (std::size_t c = 0; c < case_count; ++c) {
@@ -192,30 +197,46 @@ CampaignCheck campaign_check(const exp::CampaignOptions& options,
         util::Rng time_rng(util::splitmix64(stream));
         sys.configure(cases[case_id]);
         injector.disarm();
-        const bool fast = options.use_fastpath && sys.sim().snapshot_supported();
+        const bool snapshots = options.use_batch && sys.sim().snapshot_supported();
         const auto golden = cache.get_or_capture(
-            fi::golden_key(fast ? "perm" : "trace", case_id),
-            [&] { return fi::capture_golden_data(sys.sim(), options.max_ticks, fast); },
+            fi::golden_key(snapshots ? "perm" : "trace", case_id),
+            [&] {
+                return fi::capture_golden_data(sys.sim(), options.max_ticks, snapshots);
+            },
             nullptr);
-        runner.set_golden(fast ? golden : nullptr);
+        batch.set_golden(golden);
         const fi::GoldenRun& gr = golden->run;
 
+        batch.clear();
+        tallies.clear();
         for (std::size_t si = 0; si < inputs.size(); ++si) {
             const unsigned width = system.signal(inputs[si]).width;
             for (unsigned bit = 0; bit < width; ++bit) {
                 const auto ticks =
                     fi::spread_ticks(0, gr.length, options.times_per_bit, &time_rng);
                 for (const runtime::Tick t : ticks) {
-                    runner.run({fi::Injection::into_signal(inputs[si], bit, t)},
-                               options.max_ticks);
-                    ++check.runs;
-                    if (injector.fired_count() == 0) continue;  // inactive
-                    for (std::size_t oi = 0; oi < outputs.size(); ++oi) {
-                        ++counts[si][oi].active;
-                        if (fi::first_difference(gr, *sys.sim().trace(), outputs[oi])) {
-                            ++counts[si][oi].affected;
-                        }
-                    }
+                    const auto inj = fi::Injection::into_signal(inputs[si], bit, t);
+                    tallies.push_back({si, batch.submit(inj)});
+                }
+            }
+        }
+
+        batch.flush();
+        for (const Tally& tl : tallies) {
+            ++check.runs;
+            const fi::BatchOutcome& oc = batch.outcome(tl.ticket);
+            if (!oc.fired) continue;  // inactive
+            // A run whose length differs from the golden run's deviates on
+            // every output at its end. The length is known when the run
+            // finished or hit the budget; a lane retired at the golden end
+            // while still running would have outlived the golden run.
+            const bool length_known = oc.finished || oc.end_tick >= options.max_ticks;
+            const bool length_differs = !length_known || oc.end_tick != gr.length;
+            for (std::size_t oi = 0; oi < outputs.size(); ++oi) {
+                ++counts[tl.input][oi].active;
+                if (length_differs ||
+                    oc.first_diff[outputs[oi].index()] != runtime::kInvalidTick) {
+                    ++counts[tl.input][oi].affected;
                 }
             }
         }

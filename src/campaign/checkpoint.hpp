@@ -35,8 +35,8 @@ struct ShardResult {
     std::vector<std::size_t> case_ids;  ///< global case indices executed
     std::uint64_t runs = 0;             ///< injection runs in this shard
     double wall_seconds = 0.0;
-    /// Fast-path counters of this shard (DESIGN.md §9); all-zero when the
-    /// fast path is disabled or the checkpoint predates it.
+    /// Injection-engine counters of this shard (DESIGN.md §9); all-zero
+    /// when the checkpoint predates them.
     fi::FastPathStats fastpath;
     /// Worker-pool size of the run() call that executed this shard.
     std::size_t threads = 1;

@@ -220,9 +220,7 @@ ShardResult CampaignExecutor::run_shard(std::size_t shard,
         const fi::FastPathStats fp_before = result.fastpath;
         const std::uint64_t runs_before = result.runs;
         exp::CampaignOptions options = case_options(case_id);
-        options.use_fastpath = exec_options.use_fastpath;
         options.use_batch = exec_options.use_batch;
-        options.batch_width = exec_options.batch_width;
         options.golden_cache = &cache;
         options.fastpath_out = &result.fastpath;
         switch (spec_.kind) {
@@ -413,12 +411,18 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
         fi::GoldenCache& cache =
             options.golden_cache ? *options.golden_cache : local_cache;
 
+        // Adaptive stopping is checked as shards complete; with every
+        // pending shard already claimed there would be nothing left to
+        // skip, so one shard stays queued behind the pool.
+        const std::size_t claimable = spec_.adaptive.enabled && pending.size() > 1
+                                          ? pending.size() - 1
+                                          : pending.size();
         const std::size_t n_workers = std::max<std::size_t>(
             1, std::min({options.threads != 0
                              ? options.threads
                              : std::max<std::size_t>(
                                    1, std::thread::hardware_concurrency()),
-                         pending.size(), options.max_shards}));
+                         claimable, options.max_shards}));
 
         // Flight recorder (DESIGN.md §15): one progress slot per worker,
         // sampled to timeline.jsonl by a background thread for the whole

@@ -34,16 +34,11 @@ struct ExecutorOptions {
     std::size_t max_shards = std::numeric_limits<std::size_t>::max();
     /// Mirror journal events to stderr.
     bool echo_events = false;
-    /// Fast path (DESIGN.md §9): fork injection runs from golden boundary
-    /// snapshots and prune on state re-convergence. Merged campaign
-    /// results are bit-identical either way; off = reference oracle.
-    bool use_fastpath = true;
-    /// Batched execution (DESIGN.md §14): run one-shot injection plans as
-    /// lockstep SoA lane batches inside each shard. Merged results stay
-    /// bit-identical; off = scalar fast path.
+    /// Injection engine (DESIGN.md §9): run one-shot injection plans as
+    /// lockstep lanes inside each shard. Off replays every plan from
+    /// tick 0 — the reference; merged results are bit-identical either
+    /// way.
     bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
     /// Shared golden cache (e.g. the opt:: evaluator's, for cross-batch
     /// reuse); null uses a cache private to this run() call. The cache is
     /// mutex-protected and shared across the worker pool.

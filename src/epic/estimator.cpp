@@ -46,11 +46,8 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
 
     fi::GoldenCache local_cache;
     fi::GoldenCache* cache = options.golden_cache ? options.golden_cache : &local_cache;
-    fi::InjectionRunner runner(*sim_, *injector_);
-    runner.set_enabled(options.use_fastpath);
-    fi::BatchRunner batch(*sim_);
+    fi::BatchRunner batch(*sim_, *injector_);
     batch.set_mode(fi::BatchRunner::Mode::kPermeability);
-    batch.set_width(options.batch_width);
 
     // Attribution seals, one per (module, injected port): the tally
     // below reads only the module's output first-diffs and — under
@@ -75,8 +72,8 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
         }
     }
 
-    // Tally record for the batched path: outcomes are consumed strictly
-    // in submission order, reproducing the scalar accumulation order.
+    // Outcomes are tallied strictly in submission order, which fixes the
+    // accumulation order.
     struct Tally {
         model::ModuleId mid;
         std::uint32_t port = 0;
@@ -92,27 +89,24 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
         util::Rng time_rng(util::splitmix64(stream));
         configure_case(c);
         injector_->disarm();
-        // Golden run from the shared cache; with the fast path on, the
-        // entry also carries per-tick boundary snapshots ("perm" context:
-        // no monitors armed during permeability estimation).
-        const bool fast = options.use_fastpath && sim_->snapshot_supported();
+        // Golden run from the shared cache. For the batched engine it also
+        // carries per-tick boundary snapshots ("perm" context: no monitors
+        // armed during permeability estimation); the bare "trace" golden
+        // makes the runner replay instead.
+        const bool snapshots = options.use_batch && sim_->snapshot_supported();
         const std::size_t case_key = options.case_index_offset + c;
         const auto golden = cache->get_or_capture(
-            fi::golden_key(fast ? "perm" : "trace", case_key),
-            [&] { return fi::capture_golden_data(*sim_, options.max_ticks, fast); },
+            fi::golden_key(snapshots ? "perm" : "trace", case_key),
+            [&] { return fi::capture_golden_data(*sim_, options.max_ticks, snapshots); },
             &fastpath_);
-        runner.set_golden(fast ? golden : nullptr);
-        batch.set_golden(fast ? golden : nullptr);
+        batch.set_golden(golden);
         const fi::GoldenRun& gr = golden->run;
 
-        // Batched execution: phase 1 submits every plan of the case (the
-        // stratified time draws happen in the identical order), phase 2
-        // runs them as lockstep lane batches, phase 3 tallies outcomes in
-        // submission order — bit-identical to the scalar loop.
-        const bool batched = options.use_batch && fast && batch.ready(options.max_ticks);
+        // Phase 1 submits every plan of the case (the stratified time
+        // draws happen in a fixed order), phase 2 runs them, phase 3
+        // tallies the outcomes.
         batch.clear();
         tallies.clear();
-
         for (const model::ModuleId mid : system.all_modules()) {
             const auto& spec = system.module(mid);
             for (std::uint32_t port = 0; port < spec.input_count(); ++port) {
@@ -123,62 +117,36 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
                         options.stratified_times ? &time_rng : nullptr);
                     if (!included[mid.index()]) continue;  // draws consumed above
                     for (const runtime::Tick t : ticks) {
-                        if (batched) {
-                            tallies.push_back(
-                                {mid, port,
-                                 batch.submit(
-                                     fi::Injection::into_module_input(mid, port, bit, t),
-                                     seals[mid.index()][port])});
-                            continue;
-                        }
-                        runner.run({fi::Injection::into_module_input(mid, port, bit, t)},
-                                   options.max_ticks);
-                        ++runs_;
-                        if (progress) progress(runs_, total_runs);
-                        if (injector_->fired_count() == 0) continue;  // inactive
-
-                        const fi::DirectOutcome outcome = fi::attribute_direct(
-                            system, gr, *sim_->trace(), mid, port);
-                        for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
-                            Count& cnt =
-                                counts[mid.index()][port * spec.output_count() + k];
-                            ++cnt.active;
-                            const bool hit =
-                                options.direct_attribution
-                                    ? outcome.affected[k]
-                                    : outcome.first_diff[k] != runtime::kInvalidTick;
-                            if (hit) ++cnt.affected;
-                        }
+                        const auto inj =
+                            fi::Injection::into_module_input(mid, port, bit, t);
+                        tallies.push_back(
+                            {mid, port, batch.submit(inj, seals[mid.index()][port])});
                     }
                 }
             }
         }
 
-        if (batched) {
-            batch.flush();
-            for (const Tally& tl : tallies) {
-                ++runs_;
-                if (progress) progress(runs_, total_runs);
-                const fi::BatchOutcome& oc = batch.outcome(tl.ticket);
-                if (!oc.fired) continue;  // inactive
+        batch.flush();
+        for (const Tally& tl : tallies) {
+            ++runs_;
+            if (progress) progress(runs_, total_runs);
+            const fi::BatchOutcome& oc = batch.outcome(tl.ticket);
+            if (!oc.fired) continue;  // inactive
 
-                const auto& spec = system.module(tl.mid);
-                const fi::DirectOutcome outcome = fi::attribute_direct_from_first_diff(
-                    system, tl.mid, tl.port, oc.first_diff);
-                for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
-                    Count& cnt =
-                        counts[tl.mid.index()][tl.port * spec.output_count() + k];
-                    ++cnt.active;
-                    const bool hit = options.direct_attribution
-                                         ? outcome.affected[k]
-                                         : outcome.first_diff[k] != runtime::kInvalidTick;
-                    if (hit) ++cnt.affected;
-                }
+            const auto& spec = system.module(tl.mid);
+            const fi::DirectOutcome outcome = fi::attribute_direct_from_first_diff(
+                system, tl.mid, tl.port, oc.first_diff);
+            for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
+                Count& cnt = counts[tl.mid.index()][tl.port * spec.output_count() + k];
+                ++cnt.active;
+                const bool hit = options.direct_attribution
+                                     ? outcome.affected[k]
+                                     : outcome.first_diff[k] != runtime::kInvalidTick;
+                if (hit) ++cnt.affected;
             }
         }
     }
     injector_->disarm();
-    fastpath_.merge(runner.stats());
     fastpath_.merge(batch.stats());
 
     PermeabilityMatrix pm(system);

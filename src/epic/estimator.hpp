@@ -34,16 +34,11 @@ struct EstimatorOptions {
     ///   stratum midpoints are used (exposes alignment artifacts between
     ///   injection times and run-fraction-locked events).
     bool stratified_times = true;
-    /// Fast path (DESIGN.md §9): fork injection runs from golden boundary
-    /// snapshots and prune on state re-convergence. Bit-identical results;
-    /// disable to use the slow path as the reference oracle.
-    bool use_fastpath = true;
-    /// Batched execution (DESIGN.md §14): route the one-shot injection
-    /// plans of a case through the SoA batch kernel, advancing lanes in
-    /// lockstep. Requires the fast path; bit-identical results.
+    /// Injection engine (DESIGN.md §9): run the one-shot plans of a case
+    /// as lockstep lanes forked from golden boundary snapshots. Off
+    /// replays every plan from tick 0 — the reference; bit-identical
+    /// results either way.
     bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
     /// Shared golden-run cache (campaign executors pass theirs so golden
     /// data is captured once per case); null uses a private per-call cache.
     fi::GoldenCache* golden_cache = nullptr;
@@ -76,7 +71,7 @@ public:
     /// Total injection runs executed by the last estimate() call.
     [[nodiscard]] std::size_t runs_executed() const noexcept { return runs_; }
 
-    /// Fast-path counters of the last estimate() call.
+    /// Injection-engine counters of the last estimate() call.
     [[nodiscard]] const fi::FastPathStats& fastpath_stats() const noexcept {
         return fastpath_;
     }

@@ -90,9 +90,7 @@ epic::PermeabilityMatrix estimate_arrestment_permeability(
     eopt.max_ticks = options.max_ticks;
     eopt.seed = options.seed;
     eopt.case_index_offset = options.case_first;
-    eopt.use_fastpath = options.use_fastpath;
     eopt.use_batch = options.use_batch;
-    eopt.batch_width = options.batch_width;
     eopt.golden_cache = options.golden_cache;
     eopt.module_filter = options.module_filter;
     epic::PermeabilityMatrix pm = estimator.estimate(
@@ -141,15 +139,12 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
     fi::GoldenCache& cache =
         options.campaign.golden_cache ? *options.campaign.golden_cache : local_cache;
     fi::FastPathStats stats;
-    fi::InjectionRunner runner(sys.sim(), injector);
-    runner.set_enabled(options.campaign.use_fastpath);
-    fi::BatchRunner batchrun(sys.sim());
+    fi::BatchRunner batchrun(sys.sim(), injector);
     batchrun.set_mode(fi::BatchRunner::Mode::kCoverage);
-    batchrun.set_width(options.campaign.batch_width);
 
-    // Batched path bookkeeping: outcomes are tallied in submission order,
-    // reproducing the scalar accumulation order bit-for-bit (the latency
-    // stats are running sums, so order matters).
+    // Outcomes are tallied in submission order, which fixes the
+    // accumulation order (the latency stats are running sums, so order
+    // matters).
     struct Tally {
         std::size_t row = 0;
         runtime::Tick t = 0;
@@ -182,12 +177,13 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
             recalibrate_bank(bank, system, gr.trace, options.campaign.ea_margins);
         }
 
-        // Snapshot golden for forking/pruning, captured under the armed,
-        // freshly calibrated bank — monitor state is part of the snapshot,
-        // so the capture context must match the injection runs exactly.
-        std::shared_ptr<const fi::GoldenCaseData> full;
-        if (runner.enabled() && sys.sim().snapshot_supported()) {
-            full = cache.get_or_capture(
+        // Snapshot golden for the batched engine, captured under the
+        // armed, freshly calibrated bank — monitor state is part of the
+        // snapshot, so the capture context must match the injection runs
+        // exactly. The bare golden makes the runner replay instead.
+        std::shared_ptr<const fi::GoldenCaseData> golden = bare;
+        if (options.campaign.use_batch && sys.sim().snapshot_supported()) {
+            golden = cache.get_or_capture(
                 fi::golden_key("input", c),
                 [&] {
                     return fi::capture_golden_data(sys.sim(), options.campaign.max_ticks,
@@ -195,10 +191,7 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
                 },
                 &stats);
         }
-        runner.set_golden(full);
-        batchrun.set_golden(full);
-        const bool batched = options.campaign.use_batch && full != nullptr &&
-                             batchrun.ready(options.campaign.max_ticks);
+        batchrun.set_golden(golden);
         batchrun.clear();
         tallies.clear();
 
@@ -216,98 +209,56 @@ InputCoverageResult input_coverage_experiment(target::ArrestmentSystem& sys,
                 const auto ticks = fi::spread_ticks(
                     0, window_end, options.campaign.times_per_bit, &time_rng);
                 for (const runtime::Tick t : ticks) {
-                    if (batched) {
-                        tallies.push_back(
-                            {r, t,
-                             batchrun.submit(fi::Injection::into_signal(sid, bit, t))});
-                        continue;
-                    }
-                    runner.run({fi::Injection::into_signal(sid, bit, t)},
-                               options.campaign.max_ticks);
-
-                    auto& row = result.rows[r];
-                    ++row.injected;
-                    ++result.all.injected;
-                    if (injector.fired_count() == 0) continue;  // inactive
-                    ++row.active;
-                    ++result.all.active;
-
-                    bool any = false;
-                    runtime::Tick earliest = runtime::kInvalidTick;
-                    for (std::size_t e = 0; e < bank.size(); ++e) {
-                        if (!bank.at(e).triggered()) continue;
-                        ++row.detected_per_ea[e];
-                        ++result.all.detected_per_ea[e];
-                        earliest = std::min(earliest, bank.at(e).first_detection());
-                        any = true;
-                    }
-                    if (any) {
-                        ++row.detected_any;
-                        ++result.all.detected_any;
-                        if (earliest >= t) {
-                            const auto lat = static_cast<double>(earliest - t);
-                            row.latency.add(lat);
-                            result.all.latency.add(lat);
-                        }
-                    }
-                    for (std::size_t s = 0; s < subsets.size(); ++s) {
-                        if (bank.any_triggered(subset_indices[s])) {
-                            ++row.detected_per_subset[s];
-                            ++result.all.detected_per_subset[s];
-                        }
-                    }
+                    tallies.push_back(
+                        {r, t, batchrun.submit(fi::Injection::into_signal(sid, bit, t))});
                 }
             }
         }
 
-        if (batched) {
-            batchrun.flush();
-            for (const Tally& tl : tallies) {
-                const fi::BatchOutcome& oc = batchrun.outcome(tl.ticket);
-                auto& row = result.rows[tl.row];
-                ++row.injected;
-                ++result.all.injected;
-                if (!oc.fired) continue;  // inactive
-                ++row.active;
-                ++result.all.active;
+        batchrun.flush();
+        for (const Tally& tl : tallies) {
+            const fi::BatchOutcome& oc = batchrun.outcome(tl.ticket);
+            auto& row = result.rows[tl.row];
+            ++row.injected;
+            ++result.all.injected;
+            if (!oc.fired) continue;  // inactive
+            ++row.active;
+            ++result.all.active;
 
-                // Rehydrate the bank's detection state from the lane's
-                // monitor words (the sim's monitor order IS the bank's arm
-                // order); the scalar queries below then apply unchanged.
-                runtime::StateReader monitors(oc.monitors);
-                for (std::size_t e = 0; e < bank.size(); ++e) {
-                    bank.at(e).restore_state(monitors);
-                }
+            // Rehydrate the bank's detection state from the run's monitor
+            // words (the sim's monitor order IS the bank's arm order).
+            runtime::StateReader monitors(oc.monitors);
+            for (std::size_t e = 0; e < bank.size(); ++e) {
+                bank.at(e).restore_state(monitors);
+            }
 
-                bool any = false;
-                runtime::Tick earliest = runtime::kInvalidTick;
-                for (std::size_t e = 0; e < bank.size(); ++e) {
-                    if (!bank.at(e).triggered()) continue;
-                    ++row.detected_per_ea[e];
-                    ++result.all.detected_per_ea[e];
-                    earliest = std::min(earliest, bank.at(e).first_detection());
-                    any = true;
+            bool any = false;
+            runtime::Tick earliest = runtime::kInvalidTick;
+            for (std::size_t e = 0; e < bank.size(); ++e) {
+                if (!bank.at(e).triggered()) continue;
+                ++row.detected_per_ea[e];
+                ++result.all.detected_per_ea[e];
+                earliest = std::min(earliest, bank.at(e).first_detection());
+                any = true;
+            }
+            if (any) {
+                ++row.detected_any;
+                ++result.all.detected_any;
+                if (earliest >= tl.t) {
+                    const auto lat = static_cast<double>(earliest - tl.t);
+                    row.latency.add(lat);
+                    result.all.latency.add(lat);
                 }
-                if (any) {
-                    ++row.detected_any;
-                    ++result.all.detected_any;
-                    if (earliest >= tl.t) {
-                        const auto lat = static_cast<double>(earliest - tl.t);
-                        row.latency.add(lat);
-                        result.all.latency.add(lat);
-                    }
-                }
-                for (std::size_t s = 0; s < subsets.size(); ++s) {
-                    if (bank.any_triggered(subset_indices[s])) {
-                        ++row.detected_per_subset[s];
-                        ++result.all.detected_per_subset[s];
-                    }
+            }
+            for (std::size_t s = 0; s < subsets.size(); ++s) {
+                if (bank.any_triggered(subset_indices[s])) {
+                    ++row.detected_per_subset[s];
+                    ++result.all.detected_per_subset[s];
                 }
             }
         }
     }
     sys.sim().clear_monitors();
-    stats.merge(runner.stats());
     stats.merge(batchrun.stats());
     if (options.campaign.fastpath_out) options.campaign.fastpath_out->merge(stats);
     return result;
@@ -342,14 +293,11 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
     fi::GoldenCache& cache =
         options.golden_cache ? *options.golden_cache : local_cache;
     fi::FastPathStats stats;
-    fi::InjectionRunner runner(sys.sim(), injector);
-    runner.set_enabled(options.use_fastpath);
     // Periodic plans re-perturb the state every `severe_period` ticks, so
     // convergence pruning is unsound and forking to tick 10 saves almost
     // nothing against the cost of capturing boundary snapshots: the severe
-    // model stays on the slow path (DESIGN.md §9), but the golden trace for
-    // EA calibration still comes from the shared cache.
-    runner.set_golden(nullptr);
+    // model replays every run (DESIGN.md §9), but the golden trace for EA
+    // calibration still comes from the shared cache.
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Injection streams keyed by the global case index: running any
@@ -378,9 +326,10 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
             const runtime::Region region = sys.sim().memory().word(w).region;
             const std::size_t region_idx = region == runtime::Region::kRam ? 0 : 1;
 
-            runner.run({fi::Injection::into_memory(w, fi::kRandomBit, /*at=*/10,
+            fi::replay(sys.sim(), injector,
+                       {fi::Injection::into_memory(w, fi::kRandomBit, /*at=*/10,
                                                    options.severe_period)},
-                       options.max_ticks, ++seed);
+                       options.max_ticks, ++seed, stats);
             ++result.runs;
 
             const bool failed = sys.plant().failure_report().failed();
@@ -402,7 +351,6 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
     }
     sys.sim().enable_trace(true);
     sys.sim().clear_monitors();
-    stats.merge(runner.stats());
     if (options.fastpath_out) options.fastpath_out->merge(stats);
     return result;
 }

@@ -42,22 +42,18 @@ struct CampaignOptions {
     /// 1.0 disables the continuous EAs' steady-state band).
     ea::CalibrationMargins ea_margins{};
 
-    /// Fast path (DESIGN.md §9): fork injection runs from cached golden
-    /// boundary snapshots and prune on state re-convergence. Results are
-    /// bit-identical either way; disable for the reference oracle.
-    bool use_fastpath = true;
-    /// Batched execution (DESIGN.md §14): run the one-shot injection plans
-    /// of a case as lockstep SoA lane batches. Only the permeability and
-    /// input-coverage drivers batch (periodic severe/recovery plans stay
-    /// scalar by design); bit-identical results either way.
+    /// Injection engine (DESIGN.md §9): run the one-shot plans of a case
+    /// as lockstep lanes forked from cached golden boundary snapshots.
+    /// Off replays every plan from tick 0 — the reference. Only the
+    /// permeability and input-coverage drivers batch (periodic
+    /// severe/recovery plans always replay); bit-identical results
+    /// either way.
     bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
     /// Shared golden-run cache (the campaign executor passes its own so
     /// goldens are captured once per case across drivers and worker
     /// threads); null uses a private per-driver cache.
     fi::GoldenCache* golden_cache = nullptr;
-    /// When set, drivers accumulate their fast-path counters here.
+    /// When set, drivers accumulate their injection-engine counters here.
     fi::FastPathStats* fastpath_out = nullptr;
     /// Delta campaigns: restrict permeability injection to these modules
     /// (empty = all). Skipped modules still consume their injection-time

@@ -54,9 +54,7 @@ epic::PermeabilityMatrix estimate_arrestment_permeability_parallel(
                 eopt.times_per_bit = options.times_per_bit;
                 eopt.max_ticks = options.max_ticks;
                 eopt.case_index_offset = c;  // global stream key
-                eopt.use_fastpath = options.use_fastpath;
                 eopt.use_batch = options.use_batch;
-                eopt.batch_width = options.batch_width;
                 // The GoldenCache is mutex-protected and snapshot data is
                 // value-based, so a shared cache is safe across workers.
                 eopt.golden_cache = options.golden_cache;

@@ -33,12 +33,9 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
     fi::GoldenCache& cache =
         options.golden_cache ? *options.golden_cache : local_cache;
     fi::FastPathStats stats;
-    fi::InjectionRunner runner(sys.sim(), injector);
-    runner.set_enabled(options.use_fastpath);
     // Like the severe model, the recovery experiment injects periodic
-    // plans, so it stays on the slow path (DESIGN.md §9); only the golden
-    // trace for wrapper calibration is shared through the cache.
-    runner.set_golden(nullptr);
+    // plans, so every run replays (DESIGN.md §9); only the golden trace
+    // for wrapper calibration is shared through the cache.
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Global-case-index keying, as in severe_coverage_experiment.
@@ -74,23 +71,24 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
 
             // Baseline: identical flips, no recovery.
             sys.sim().clear_recoverers();
-            runner.run({fi::Injection::into_memory(w, fi::kRandomBit, 10,
+            fi::replay(sys.sim(), injector,
+                       {fi::Injection::into_memory(w, fi::kRandomBit, 10,
                                                    options.severe_period)},
-                       options.max_ticks, seed);
+                       options.max_ticks, seed, stats);
             if (sys.plant().failure_report().failed()) ++result.failures_baseline;
 
             // With recovery wrappers armed.
             bank.arm(sys.sim());
-            runner.run({fi::Injection::into_memory(w, fi::kRandomBit, 10,
+            fi::replay(sys.sim(), injector,
+                       {fi::Injection::into_memory(w, fi::kRandomBit, 10,
                                                    options.severe_period)},
-                       options.max_ticks, seed);
+                       options.max_ticks, seed, stats);
             if (sys.plant().failure_report().failed()) ++result.failures_with_erm;
             result.repairs += bank.total_repairs();
             sys.sim().clear_recoverers();
         }
     }
     sys.sim().enable_trace(true);
-    stats.merge(runner.stats());
     if (options.fastpath_out) options.fastpath_out->merge(stats);
     return result;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fi/comparison.hpp"
 #include "obs/trace.hpp"
 
 namespace epea::fi {
@@ -49,8 +50,10 @@ std::size_t BatchRunner::submit(const Injection& injection, std::uint32_t seal) 
 
 void BatchRunner::flush() {
     if (pending_.empty()) return;
-    if (!golden_ || !golden_->has_snapshots() || !sim_->snapshot_supported()) {
-        throw std::runtime_error("BatchRunner: flush without batch-ready golden data");
+    if (!golden_) throw std::runtime_error("BatchRunner: flush without golden data");
+    if (!golden_->has_snapshots() || !sim_->snapshot_supported()) {
+        replay_pending();
+        return;
     }
     EPEA_OBS_SAMPLED_SPAN(span, "fi.batch_flush");
     const runtime::Tick len = golden_->run.length;
@@ -64,7 +67,7 @@ void BatchRunner::flush() {
                      [](const Pending& a, const Pending& b) { return a.inj.at < b.inj.at; });
 
     // Injections at or beyond the golden end never fire: the run equals
-    // the golden run outright (scalar skip path).
+    // the golden run outright.
     std::vector<Pending> live;
     live.reserve(pending_.size());
     for (const Pending& p : pending_) {
@@ -99,6 +102,35 @@ void BatchRunner::flush() {
         run_batch(live.data() + first, std::min(width, live.size() - first));
     }
 
+    sim_->enable_trace(had_trace);
+}
+
+void BatchRunner::replay_pending() {
+    const bool perm = mode_ == Mode::kPermeability;
+    // Permeability reads first differences off the replayed trace;
+    // coverage reads only the monitor state.
+    const bool had_trace = sim_->trace() != nullptr;
+    sim_->enable_trace(perm);
+    for (const Pending& p : pending_) {
+        const runtime::RunResult rr =
+            replay(*sim_, *injector_, {p.inj}, golden_->max_ticks, /*seed=*/1, stats_);
+        BatchOutcome& out = outcomes_[p.ticket];
+        out.fired = injector_->fired_count() > 0;
+        out.end_tick = rr.ticks;
+        out.finished = rr.env_finished;
+        out.pruned = false;
+        if (perm) {
+            out.first_diff = first_value_differences(golden_->run, *sim_->trace());
+        } else {
+            out.monitors.clear();
+            runtime::StateWriter w(out.monitors);
+            for (const runtime::SignalMonitor* m : sim_->monitors()) m->save_state(w);
+        }
+    }
+    // An armed injector would also fire into later lanes (its hooks run
+    // under the batch backend too).
+    injector_->disarm();
+    pending_.clear();
     sim_->enable_trace(had_trace);
 }
 
@@ -213,7 +245,8 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
                        k % kPruneCheckPeriod == 0 &&
                        state_.lane_equals(lane, boundary[k])) {
                 // Converged: the lane's remaining evolution is the golden
-                // run's (same rule and confirmation as InjectionRunner).
+                // run's — the kernel is deterministic, so equal state
+                // implies an equal future.
                 retire_lane(lane, k, golden_->run.finished, /*pruned=*/true);
             } else if (perm && k >= len) {
                 // Attribution only reads the common trace prefix, which

@@ -1,5 +1,6 @@
-// Batched injection execution (DESIGN.md §14) — the scheduler side of
-// the structure-of-arrays batch kernel.
+// The injection engine (DESIGN.md §9): the scheduler side of the
+// structure-of-arrays batch kernel, and the only executor of one-shot
+// injection plans.
 //
 // BatchRunner collects one-shot injection plans that share a golden run,
 // groups them by injection tick into width-W lockstep batches, forks
@@ -8,18 +9,23 @@
 // runtime::BatchBackend (the target's fused SoA kernel, or the
 // target-agnostic ScalarLaneBackend when none is installed). Lanes
 // retire on convergence-prune (full state equality with the golden
-// boundary — same rule as InjectionRunner), on environment finish, on
-// the tick budget, and — in permeability mode — at the golden end,
-// where the outcome can no longer change, or earlier when the
-// consumer's attribution seal rule is decided (see SealRule). Retired
-// lanes are compacted out of the hot loop.
+// boundary), on environment finish, on the tick budget, and — in
+// permeability mode — at the golden end, where the outcome can no longer
+// change, or earlier when the consumer's attribution seal rule is
+// decided (see SealRule). Retired lanes are compacted out of the hot
+// loop.
 //
-// Bit-identity contract: consumed in submission order, the outcomes
-// reproduce exactly what the scalar fast path (and hence the slow path)
-// would have produced — fired flags, per-signal first value-differences
-// over the common trace prefix (permeability), and monitor/EA detection
-// state at run end (coverage). Periodic plans (severe/recovery models)
-// are out of scope by design and stay on the scalar path.
+// Reference path: when the golden data carries no boundary snapshots
+// (callers capture it that way to request the reference, `--no-batch`)
+// or the target cannot snapshot at all, flush() replays every queued plan
+// from tick 0 (fi::replay) into the same outcomes. Consumers therefore
+// keep a single submit/flush/tally loop.
+//
+// Bit-identity contract: consumed in submission order, the lane outcomes
+// reproduce exactly what replay produces — fired flags, per-signal first
+// value-differences over the common trace prefix (permeability), and
+// monitor/EA detection state at run end (coverage). Periodic plans
+// (severe/recovery models) are out of scope and run through fi::replay.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +39,15 @@
 
 namespace epea::fi {
 
-/// Outcome of one batched injection run, mirroring what the scalar fast
-/// path exposes through the injector, the trace and the monitor state.
+/// Outcome of one injection run, mirroring what replay exposes through
+/// the injector, the trace and the monitor state.
 struct BatchOutcome {
     bool fired = false;          ///< the flip executed (injection tick < golden end)
-    runtime::Tick end_tick = 0;  ///< RunResult::ticks equivalent
+    /// RunResult::ticks equivalent — exact when `finished` or at the tick
+    /// budget. A permeability lane retired at the golden end while its
+    /// environment was still running reports the golden length; a replay
+    /// would have run on past it.
+    runtime::Tick end_tick = 0;
     bool finished = false;       ///< RunResult::env_finished equivalent
     bool pruned = false;         ///< retired on state re-convergence
     /// Permeability mode: per-signal first tick (index = SignalId) where
@@ -103,28 +113,23 @@ public:
     /// so checking late never changes an outcome — it only delays the
     /// retirement by up to N-1 ticks.
     static constexpr runtime::Tick kPruneCheckPeriod = 8;
-    /// Hard cap on --batch-width style requests (CLI and serve validate
-    /// against this, like worker-thread counts).
-    static constexpr std::size_t kMaxWidth = 256;
 
-    explicit BatchRunner(runtime::Simulator& sim) noexcept : sim_(&sim) {}
+    /// `injector` must be installed on `sim`; the reference path arms it.
+    BatchRunner(runtime::Simulator& sim, Injector& injector) noexcept
+        : sim_(&sim), injector_(&injector) {}
 
     void set_mode(Mode mode) noexcept { mode_ = mode; }
-    /// Lanes per lockstep batch; 0 = auto (kAutoWidth).
+    /// Lanes per lockstep batch; 0 = auto (kAutoWidth). A test seam: the
+    /// outcomes do not depend on the width.
     void set_width(std::size_t width) noexcept { width_ = width; }
     [[nodiscard]] std::size_t effective_width() const noexcept {
         return width_ == 0 ? kAutoWidth : width_;
     }
 
+    /// Golden run of the current case; its tick budget is the runs'.
+    /// Without boundary snapshots flush() takes the reference path.
     void set_golden(std::shared_ptr<const GoldenCaseData> golden) noexcept {
         golden_ = std::move(golden);
-    }
-
-    /// True when submit/flush can run batches for this golden data and
-    /// tick budget; callers keep the scalar path otherwise.
-    [[nodiscard]] bool ready(runtime::Tick max_ticks) const noexcept {
-        return golden_ && golden_->has_snapshots() && golden_->max_ticks == max_ticks &&
-               sim_->snapshot_supported();
     }
 
     /// Registers a seal rule for later submits; returns its handle.
@@ -132,14 +137,15 @@ public:
     /// (module, port) and reuse the handles for every case.
     std::uint32_t add_seal_rule(SealRule rule);
 
-    /// Queues one one-shot injection (plans with periods stay scalar by
-    /// design). Returns the ticket index for outcome(). `seal` is an
+    /// Queues one one-shot injection (periodic plans go to fi::replay).
+    /// Returns the ticket index for outcome(). `seal` is an
     /// add_seal_rule() handle, or kNoSeal to run the lane to its normal
     /// retirement.
     std::size_t submit(const Injection& injection, std::uint32_t seal = kNoSeal);
 
-    /// Runs every queued injection to retirement. Outcomes become valid,
-    /// indexed by ticket in submission order.
+    /// Runs every queued injection — as lanes, or replayed on the
+    /// reference path. Outcomes become valid, indexed by ticket in
+    /// submission order.
     void flush();
 
     [[nodiscard]] const BatchOutcome& outcome(std::size_t ticket) const {
@@ -167,6 +173,7 @@ private:
         Injection inj;
     };
 
+    void replay_pending();
     void run_batch(const Pending* batch, std::size_t count);
     void retire_lane(std::size_t lane, runtime::Tick end, bool finished, bool pruned,
                      bool sealed = false);
@@ -174,6 +181,7 @@ private:
     [[nodiscard]] static runtime::BatchFlip to_flip(const Injection& inj) noexcept;
 
     runtime::Simulator* sim_;
+    Injector* injector_;
     std::shared_ptr<const GoldenCaseData> golden_;
     Mode mode_ = Mode::kPermeability;
     std::size_t width_ = 0;

@@ -36,20 +36,26 @@ struct DirectOutcome {
     runtime::Tick contamination = runtime::kInvalidTick;
 };
 
+/// Per-signal first value-difference of an injection-run trace against
+/// its golden run over their common prefix (index = SignalId,
+/// kInvalidTick = none). A changed run length is not a value difference —
+/// the table the batched engine records online for every lane.
+[[nodiscard]] std::vector<runtime::Tick> first_value_differences(
+    const GoldenRun& gr, const runtime::Trace& ir);
+
+/// Direct attribution from a per-signal first-difference table (see
+/// first_value_differences). Attribution compares values over the common
+/// prefix only: a changed run length makes every signal "differ" at the
+/// boundary, which must not register as a direct output effect.
+[[nodiscard]] DirectOutcome attribute_direct_from_first_diff(
+    const model::SystemModel& system, model::ModuleId module,
+    std::uint32_t injected_port, const std::vector<runtime::Tick>& first_diff_by_signal);
+
+/// attribute_direct_from_first_diff over an injection run's full trace.
 [[nodiscard]] DirectOutcome attribute_direct(const model::SystemModel& system,
                                              const GoldenRun& gr,
                                              const runtime::Trace& ir,
                                              model::ModuleId module,
                                              std::uint32_t injected_port);
-
-/// Same attribution from an already-collected per-signal first-difference
-/// table (index = SignalId, kInvalidTick = no value difference over the
-/// common trace prefix) — the form the batch kernel records online
-/// instead of materializing per-lane traces. Equivalent to
-/// attribute_direct by construction: both consume exactly the per-signal
-/// first value-difference over the common prefix.
-[[nodiscard]] DirectOutcome attribute_direct_from_first_diff(
-    const model::SystemModel& system, model::ModuleId module,
-    std::uint32_t injected_port, const std::vector<runtime::Tick>& first_diff_by_signal);
 
 }  // namespace epea::fi

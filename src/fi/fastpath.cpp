@@ -1,7 +1,5 @@
 #include "fi/fastpath.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -168,132 +166,16 @@ std::size_t GoldenCache::byte_count() const {
     return bytes_;
 }
 
-runtime::RunResult InjectionRunner::slow_run(std::vector<Injection> plan,
-                                             runtime::Tick max_ticks, std::uint64_t seed) {
-    injector_->arm(std::move(plan), seed);
-    sim_->reset();
-    const runtime::RunResult rr = sim_->run(max_ticks);
-    ++stats_.full_runs;
-    stats_.ticks_executed += rr.ticks;
-    return rr;
-}
-
-bool InjectionRunner::signals_match_golden(runtime::Tick boundary_tick) const {
-    // Boundary state at tick t carries the signal values recorded in the
-    // golden trace at row t-1 (nothing between trace recording and the
-    // next tick's sense writes the store). Comparing the live store to
-    // that row is a cheap prefilter: while the injected error is visible
-    // in any signal, the full-state capture and hash are skipped.
-    const runtime::Trace& golden = golden_->run.trace;
-    const runtime::Tick row = boundary_tick - 1;
-    const runtime::SignalStore& store = sim_->signals();
-    for (std::size_t s = 0; s < golden.signal_count(); ++s) {
-        const model::SignalId sid{static_cast<std::uint32_t>(s)};
-        if (store.get(sid) != golden.at(sid, row)) return false;
-    }
-    return true;
-}
-
-void InjectionRunner::backfill_trace(runtime::Tick first, runtime::Tick last) {
-    if (runtime::Trace* trace = sim_->trace()) {
-        trace->append_range(golden_->run.trace, first, last);
-    }
-}
-
-void InjectionRunner::clear_trace() {
-    if (runtime::Trace* trace = sim_->trace()) trace->clear();
-}
-
-runtime::RunResult InjectionRunner::run(std::vector<Injection> plan,
-                                        runtime::Tick max_ticks, std::uint64_t seed) {
+runtime::RunResult replay(runtime::Simulator& sim, Injector& injector,
+                          std::vector<Injection> plan, runtime::Tick max_ticks,
+                          std::uint64_t seed, FastPathStats& stats) {
     EPEA_OBS_SAMPLED_SPAN(span, "fi.run");
-    if (!enabled_ || !golden_ || !golden_->has_snapshots() ||
-        golden_->max_ticks != max_ticks || plan.empty() || !sim_->snapshot_supported()) {
-        return slow_run(std::move(plan), max_ticks, seed);
-    }
-
-    runtime::Tick first_at = plan.front().at;
-    runtime::Tick last_at = plan.front().at;
-    bool periodic = false;
-    for (const Injection& inj : plan) {
-        first_at = std::min(first_at, inj.at);
-        last_at = std::max(last_at, inj.at);
-        periodic = periodic || inj.period != 0;
-    }
-    const runtime::Tick len = golden_->run.length;
-
-    injector_->arm(std::move(plan), seed);
-
-    if (first_at >= len) {
-        // The golden run ends (or the tick budget expires) before the
-        // first injection tick: the run is fault-free and equals the
-        // golden run outright. fired_count stays 0 — the drivers'
-        // "inactive" classification — exactly as on the slow path.
-        sim_->restore_snapshot(golden_->boundary[len]);
-        clear_trace();  // drop the previous run's history
-        backfill_trace(0, len);
-        ++stats_.skipped_runs;
-        stats_.ticks_saved += len;
-        return {len, golden_->run.finished};
-    }
-
-    if (first_at == 0) {
-        sim_->reset();
-        ++stats_.full_runs;
-    } else {
-        // Fork: the pre-injection prefix is fault-free, hence bit-equal
-        // to the golden run — resume from its boundary snapshot.
-        EPEA_OBS_SAMPLED_SPAN(fork_span, "fi.fork");
-        sim_->restore_snapshot(golden_->boundary[first_at]);
-        clear_trace();  // drop the previous run's history
-        backfill_trace(0, first_at);
-        ++stats_.forked_runs;
-        stats_.ticks_saved += first_at;
-    }
-
-    // Pruning is sound only for one-shot plans: a periodic plan keeps
-    // re-perturbing the state, so convergence at tick k says nothing
-    // about the future.
-    const bool can_prune = !periodic;
-    const runtime::Tick start = sim_->now();
-    runtime::RunResult result;
-    bool finished = false;
-    while (sim_->now() < max_ticks) {
-        sim_->step_tick();
-        if (sim_->environment().finished()) {
-            finished = true;
-            break;
-        }
-        const runtime::Tick k = sim_->now();
-        if (can_prune && k > last_at && k < len && signals_match_golden(k)) {
-            sim_->capture_snapshot(scratch_);
-            // same_state early-exits on the first differing word, which
-            // makes it strictly cheaper than hashing the whole state:
-            // during latent divergence (signals match, internal state not
-            // yet re-converged) the mismatch is found within one section.
-            // golden_->hash stays the stored fingerprint the determinism
-            // tests cross-check snapshots against.
-            if (scratch_.same_state(golden_->boundary[k])) {
-                // Converged: every mutable word equals the golden run's
-                // at the same tick, so the remaining evolution is the
-                // golden run's. Jump to its end state and outcome.
-                stats_.ticks_executed += k - start;
-                stats_.ticks_saved += len - k;
-                ++stats_.pruned_runs;
-                // The trace already holds rows [0, k) — the backfilled
-                // golden prefix plus the live (possibly divergent) rows,
-                // exactly as the slow path would have recorded them.
-                // Splice on the golden suffix to complete it.
-                sim_->restore_snapshot(golden_->boundary[len]);
-                backfill_trace(k, len);
-                return {len, golden_->run.finished};
-            }
-        }
-    }
-    result.ticks = sim_->now();
-    result.env_finished = finished;
-    stats_.ticks_executed += result.ticks - start;
-    return result;
+    injector.arm(std::move(plan), seed);
+    sim.reset();
+    const runtime::RunResult rr = sim.run(max_ticks);
+    ++stats.full_runs;
+    stats.ticks_executed += rr.ticks;
+    return rr;
 }
 
 }  // namespace epea::fi

@@ -1,22 +1,13 @@
-// Fault-injection fast path (DESIGN.md §9).
+// Golden data and reference replay for the injection engine (DESIGN.md §9).
 //
-// Three cooperating pieces:
 //  - GoldenCaseData / capture_golden_data: a golden run captured once per
-//    test case, with per-tick boundary snapshots and state hashes.
+//    test case, optionally with per-tick boundary snapshots — the fork
+//    points and convergence references of fi::BatchRunner's lanes.
 //  - GoldenCache: a thread-safe, byte-budgeted cache of golden data keyed
 //    by (context tag, test case) — shared across experiment drivers,
 //    campaign worker threads and the opt:: subset evaluator.
-//  - InjectionRunner: executes one injection run, forking from the golden
-//    boundary snapshot at the injection tick instead of replaying from
-//    tick 0, and pruning the run as soon as its full mutable state
-//    re-converges with the golden run's.
-//
-// The fast path is bit-identical to the slow path by construction: a
-// forked run starts from state that is provably equal to what replay
-// would have produced (the pre-injection prefix is fault-free), and a
-// pruned run's remaining evolution is the golden run's (the kernel is
-// deterministic, so equal state implies an equal future). Hash matches
-// are always confirmed with a full state comparison before pruning.
+//  - replay: the reference execution of one plan from tick 0, which the
+//    batched engine must reproduce bit for bit.
 #pragma once
 
 #include <array>
@@ -37,7 +28,7 @@
 
 namespace epea::fi {
 
-/// Observability counters for the fast path (per-shard in campaigns;
+/// Observability counters for the injection engine (per-shard in campaigns;
 /// surfaced in events.jsonl and `campaign status`).
 struct FastPathStats {
     /// Width histogram buckets: lane count at batch launch, log2-ish
@@ -55,9 +46,9 @@ struct FastPathStats {
     std::uint64_t cache_hits = 0;      ///< golden-cache lookups served from memory
     std::uint64_t cache_misses = 0;    ///< golden-cache lookups that captured fresh
 
-    // Batch-kernel lane lifecycle (DESIGN.md §14). Batched runs also
-    // count into the legacy full/forked/skipped/pruned counters with the
-    // scalar semantics, so runs() stays the per-run invariant either way.
+    // Lane lifecycle of the batched engine (DESIGN.md §9). Lanes also
+    // count into the per-run full/forked/skipped/pruned counters, so
+    // runs() stays the per-run invariant for lanes and replays alike.
     std::uint64_t lanes_launched = 0;        ///< lanes forked into a batch
     std::uint64_t lanes_retired_pruned = 0;  ///< lanes retired on state re-convergence
     std::uint64_t lanes_retired_end = 0;     ///< lanes retired at env finish / golden end
@@ -174,46 +165,13 @@ private:
     std::uint64_t clock_ = 0;
 };
 
-/// Executes injection runs through the fast path. Drop-in replacement for
-/// the `injector.arm(plan, seed); sim.reset(); sim.run(max_ticks)`
-/// sequence of the slow path — bit-identical results, including the
-/// injector's fired_count, the simulator's trace (backfilled from the
-/// golden trace where ticks were reused) and all observable end state.
-class InjectionRunner {
-public:
-    InjectionRunner(runtime::Simulator& sim, Injector& injector) noexcept
-        : sim_(&sim), injector_(&injector) {}
-
-    /// Disabling routes every run through the slow path (`--no-fastpath`).
-    void set_enabled(bool on) noexcept { enabled_ = on; }
-    [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-    /// Golden data for the currently configured test case; null (or data
-    /// without snapshots) forces the slow path.
-    void set_golden(std::shared_ptr<const GoldenCaseData> golden) noexcept {
-        golden_ = std::move(golden);
-    }
-
-    /// Runs one injection run (arms, forks or resets, simulates, prunes).
-    runtime::RunResult run(std::vector<Injection> plan, runtime::Tick max_ticks,
-                           std::uint64_t seed = 1);
-
-    [[nodiscard]] const FastPathStats& stats() const noexcept { return stats_; }
-    [[nodiscard]] FastPathStats& stats() noexcept { return stats_; }
-
-private:
-    runtime::RunResult slow_run(std::vector<Injection> plan, runtime::Tick max_ticks,
-                                std::uint64_t seed);
-    [[nodiscard]] bool signals_match_golden(runtime::Tick boundary_tick) const;
-    void backfill_trace(runtime::Tick first, runtime::Tick last);
-    void clear_trace();
-
-    runtime::Simulator* sim_;
-    Injector* injector_;
-    std::shared_ptr<const GoldenCaseData> golden_;
-    bool enabled_ = true;
-    FastPathStats stats_;
-    runtime::Snapshot scratch_;
-};
+/// Reference execution of one injection plan: arms the injector, resets
+/// the simulator and runs it from tick 0 for at most `max_ticks` ticks.
+/// Counts one full run and its ticks into `stats`. Periodic plans (the
+/// severe and recovery models) run here; BatchRunner falls back to it for
+/// one-shot plans whose golden data or target cannot snapshot.
+runtime::RunResult replay(runtime::Simulator& sim, Injector& injector,
+                          std::vector<Injection> plan, runtime::Tick max_ticks,
+                          std::uint64_t seed, FastPathStats& stats);
 
 }  // namespace epea::fi

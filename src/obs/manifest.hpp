@@ -42,7 +42,7 @@ struct Manifest {
     std::string command;        ///< e.g. "campaign run"
     util::JsonObject config;    ///< full run config (e.g. the campaign spec)
     std::uint64_t seed_base = 0;
-    bool fastpath = true;
+    bool fastpath = true;  ///< batched injection engine on (off = `--no-batch` replay)
     bool obs_enabled = kEnabled;
     std::string build_type = obs::build_type();
     std::size_t threads = 0;

@@ -1,8 +1,8 @@
 // Tracing layer (DESIGN.md §10): RAII spans over per-thread bounded ring
 // buffers, exported as Chrome trace-event JSON (chrome://tracing /
 // Perfetto-loadable) so a whole sharded campaign renders as one flame
-// view — one track per worker thread, spans for golden-build, fork, run,
-// checkpoint and merge.
+// view — one track per worker thread, spans for golden-build, lane
+// batches, replayed runs, checkpoint and merge.
 //
 // Cost model: a disabled tracer costs one relaxed atomic load per span;
 // an enabled span costs two monotonic clock reads plus one push into the
@@ -66,7 +66,7 @@ public:
     static constexpr std::size_t kDefaultRingCapacity = 1 << 16;  ///< events/thread
 
     /// Default modulus for EPEA_OBS_SAMPLED_SPAN sites. Run-level spans
-    /// (fi.run, sim.run, fi.fork) fire tens of thousands of times per
+    /// (fi.run, sim.run) fire tens of thousands of times per
     /// campaign; recording 1-in-16 keeps the trace representative while
     /// holding instrumentation overhead under the 2% budget
     /// (BENCH_obs.json). EPEA_OBS_SAMPLE=1 records every span.

@@ -120,9 +120,7 @@ std::vector<CacheEntry> CampaignEvaluator::evaluate(
         campaign::ExecutorOptions exec;
         exec.threads = options_.threads;
         exec.echo_events = options_.echo_events;
-        exec.use_fastpath = options_.use_fastpath;
         exec.use_batch = options_.use_batch;
-        exec.batch_width = options_.batch_width;
         exec.golden_cache = &golden_cache_;  // reused across batches
         executor.run(exec);
         ++campaigns_executed_;

@@ -29,13 +29,9 @@ struct EvaluatorOptions {
     std::size_t shards = 5;
     std::size_t threads = 1;
     bool echo_events = false;
-    /// Fast path (DESIGN.md §9) for the underlying campaigns; ground
-    /// truth is bit-identical either way.
-    bool use_fastpath = true;
-    /// Batched SoA execution (DESIGN.md §14) for the underlying campaigns.
+    /// Injection engine (DESIGN.md §9) for the underlying campaigns; off
+    /// replays every run. Ground truth is bit-identical either way.
     bool use_batch = true;
-    /// Lanes per lockstep batch; 0 picks the auto width.
-    std::size_t batch_width = 0;
 };
 
 class CampaignEvaluator {

@@ -1,5 +1,5 @@
 // Structure-of-arrays batch state for lockstep multi-lane execution
-// (DESIGN.md §14). N injection runs forked from golden boundary
+// (DESIGN.md §9). N injection runs forked from golden boundary
 // snapshots advance one tick of all live lanes per inner-loop pass; each
 // mutable word of the simulator lives in a contiguous per-word array
 // ("lane row"), so the per-lane loops of a batch backend are plain
@@ -181,7 +181,8 @@ public:
     virtual ~BatchBackend() = default;
 
     /// Per-batch preparation (offset resolution, configuration capture,
-    /// support checks). False routes the whole batch to the scalar path.
+    /// support checks). False routes the whole batch to the
+    /// ScalarLaneBackend.
     [[nodiscard]] virtual bool begin(BatchState& state) = 0;
 
     /// One lockstep tick: for each live lane, run the full tick pipeline

@@ -31,11 +31,11 @@ public:
     /// where this holds.
     [[nodiscard]] virtual bool finished() const = 0;
 
-    // -- snapshot support (fault-injection fast path, DESIGN.md §9) ---------
+    // -- snapshot support (injection engine, DESIGN.md §9) -------------------
 
     /// True when save_state/restore_state round-trip the *complete*
-    /// mutable plant state. Environments that do not opt in force the
-    /// simulator onto the slow path (Simulator::snapshot_supported).
+    /// mutable plant state. Environments that do not opt in make every
+    /// injection run replay (Simulator::snapshot_supported).
     [[nodiscard]] virtual bool snapshot_supported() const { return false; }
 
     /// Serializes every mutable plant variable (only called when

@@ -79,7 +79,7 @@ public:
         return recoverers_;
     }
 
-    /// Fused batch backend for this target (DESIGN.md §14); not owned,
+    /// Fused batch backend for this target (DESIGN.md §9); not owned,
     /// null when the target provides none (the batch engine then falls
     /// back to the target-agnostic ScalarLaneBackend).
     void set_batch_backend(BatchBackend* backend) noexcept { batch_backend_ = backend; }
@@ -108,11 +108,11 @@ public:
     /// replaces, the scalar injection plumbing.
     void step_tick(std::span<const BatchFlip> flips);
 
-    // -- snapshots (fault-injection fast path, DESIGN.md §9) ----------------
+    // -- snapshots (injection engine, DESIGN.md §9) --------------------------
 
     /// True when every mutable-state holder round-trips through the
     /// snapshot API. Gated on the environment's opt-in: a custom test
-    /// environment without snapshot support silently forces the slow path.
+    /// environment without snapshot support silently forces replay.
     [[nodiscard]] bool snapshot_supported() const { return env_->snapshot_supported(); }
 
     /// Captures the complete mutable state into `out` (cleared first,
@@ -121,8 +121,7 @@ public:
 
     /// Restores a state previously captured from a simulator with the
     /// identical model/behaviour layout; now() becomes snap.tick. The
-    /// trace is left untouched — it is history, not state, and the fast
-    /// path splices it explicitly (clear at fork, backfill golden rows).
+    /// trace is left untouched — it is history, not state.
     void restore_snapshot(const Snapshot& snap);
 
     // -- access -------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Snapshot — a value-typed capture of every mutable word of a running
 // Simulator: the signal store, all registered memory words (RAM state and
 // stack frames), extra behaviour state, the environment/plant, and the
-// monitor/recoverer state. Snapshots power the fault-injection fast path
+// monitor/recoverer state. Snapshots power the injection engine
 // (DESIGN.md §9): an injection run forks from the golden run's boundary
 // snapshot at the injection tick instead of replaying from tick 0, and a
 // run whose state re-converges with the golden run is pruned early.

@@ -24,13 +24,6 @@ std::optional<Tick> Trace::first_difference(const Trace& other, model::SignalId 
     return std::nullopt;
 }
 
-void Trace::append_range(const Trace& src, Tick first, Tick last) {
-    for (std::size_t s = 0; s < per_signal_.size(); ++s) {
-        const auto& from = src.per_signal_.at(s);
-        per_signal_[s].insert(per_signal_[s].end(), from.begin() + first, from.begin() + last);
-    }
-}
-
 void Trace::clear() {
     for (auto& s : per_signal_) s.clear();
 }

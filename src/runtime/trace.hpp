@@ -43,11 +43,6 @@ public:
         const Trace& other, model::SignalId id,
         bool include_length_mismatch = true) const;
 
-    /// Appends ticks [first, last) of `src` (same signal set) to this
-    /// trace — used by the fast path to backfill the golden prefix of a
-    /// forked run and the golden suffix of a pruned run.
-    void append_range(const Trace& src, Tick first, Tick last);
-
     void clear();
     void reserve(Tick ticks);
 

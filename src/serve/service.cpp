@@ -16,7 +16,6 @@
 #include "campaign/observer.hpp"
 #include "epic/serialize.hpp"
 #include "exp/paper_data.hpp"
-#include "fi/batch.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -591,11 +590,6 @@ HttpResponse Service::handle_campaign_submit(const HttpRequest& req) {
         } catch (const std::exception&) {
             throw ServeError{400, "campaign_submit", "'use_batch' must be a boolean"};
         }
-    }
-    if (const util::JsonValue* w = body.find("batch_width")) {
-        exec.batch_width = positive_size(
-            *w, "batch_width", static_cast<std::int64_t>(fi::BatchRunner::kMaxWidth),
-            "campaign_submit");
     }
 
     std::shared_ptr<CampaignJob> job;

@@ -154,7 +154,7 @@ private:
     std::unique_ptr<model::SystemModel> model_;
     std::unique_ptr<Plant> plant_;
     std::unique_ptr<runtime::Simulator> sim_;
-    // Fused SoA batch kernel (DESIGN.md §14), installed on sim_; must be
+    // Fused SoA batch kernel (DESIGN.md §9), installed on sim_; must be
     // re-parameterised alongside the modules and the plant.
     std::unique_ptr<ArrestmentBatchBackend> batch_backend_;
     // Raw views into the behaviours owned by sim_, for reconfiguration.

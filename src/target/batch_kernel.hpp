@@ -1,4 +1,4 @@
-// Fused SoA batch backend for the arrestment target (DESIGN.md §14).
+// Fused SoA batch backend for the arrestment target (DESIGN.md §9).
 //
 // ArrestmentBatchBackend advances every live lane of a BatchState one
 // tick by running the whole tick pipeline — plant sense, launch flips,

@@ -497,7 +497,9 @@ TEST_F(CampaignLint, UnparsableJournalLineIsW057) {
 
 TEST(SourceLint, BadMetricNameIsW060) {
     const std::filesystem::path root =
-        std::filesystem::path(::testing::TempDir()) / "source_lint_root";
+        std::filesystem::path(::testing::TempDir()) /
+        ("source_lint_" +
+         std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
     std::filesystem::remove_all(root);
     std::filesystem::create_directories(root / "src");
     {

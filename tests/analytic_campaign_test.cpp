@@ -196,4 +196,25 @@ TEST(AnalyticValidateCampaign, CampaignCheckShapesRows) {
     }
 }
 
+TEST(AnalyticValidateCampaign, BatchedRowsEqualReplayRows) {
+    // The end-to-end prong reads whole-trace deviations, run length
+    // included: lanes retired at the golden end must score exactly like
+    // replayed runs that ran on past it.
+    exp::CampaignOptions options;
+    options.case_count = 2;
+    options.times_per_bit = 2;
+    const analytic::CampaignCheck batched = analytic::campaign_check(options, {});
+    options.use_batch = false;
+    const analytic::CampaignCheck replayed = analytic::campaign_check(options, {});
+
+    ASSERT_EQ(batched.rows.size(), replayed.rows.size());
+    for (std::size_t i = 0; i < batched.rows.size(); ++i) {
+        EXPECT_EQ(batched.rows[i].measured.trials, replayed.rows[i].measured.trials);
+        EXPECT_EQ(batched.rows[i].measured.hits, replayed.rows[i].measured.hits)
+            << batched.rows[i].input << " -> " << batched.rows[i].output;
+    }
+    EXPECT_EQ(batched.to_json().dump(), replayed.to_json().dump());
+    EXPECT_GT(batched.runs, 0U);
+}
+
 }  // namespace

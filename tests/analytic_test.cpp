@@ -327,7 +327,11 @@ TEST(AnalyticDelta, ManifestCheckFlagsUnreadableAndMismatch) {
 class SubsetCacheLint : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::path(::testing::TempDir()) / "subset_cache_lint";
+        dir_ = std::filesystem::path(::testing::TempDir()) /
+               ("subset_cache_lint_" +
+                std::string(::testing::UnitTest::GetInstance()
+                                ->current_test_info()
+                                ->name()));
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }
@@ -397,7 +401,11 @@ TEST_F(SubsetCacheLint, RuleIsInCatalog) {
 class TimelineLint : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::path(::testing::TempDir()) / "timeline_lint";
+        dir_ = std::filesystem::path(::testing::TempDir()) /
+               ("timeline_lint_" +
+                std::string(::testing::UnitTest::GetInstance()
+                                ->current_test_info()
+                                ->name()));
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }

@@ -397,15 +397,19 @@ TEST(AdaptiveTest, ConvergesExactlyWhenWilsonIntervalIsTight) {
         evaluate_convergence(off, CampaignKind::kPermeability, fine).converged);
 }
 
-TEST(AdaptiveTest, ExecutorStopsEarlyAndReportsSavedRuns) {
-    const std::string dir = temp_dir("adaptive");
+/// Runs a 4-shard adaptive campaign that converges after one shard and
+/// checks the early stop. `threads` = 0 sizes the pool by the host.
+void expect_adaptive_stop(const std::string& name, std::size_t threads) {
+    const std::string dir = temp_dir(name);
     CampaignSpec spec = tiny_spec(4, 4);
     spec.adaptive.enabled = true;
     spec.adaptive.half_width = 0.9;  // loose: one shard suffices
     spec.adaptive.min_trials = 0;
 
     CampaignExecutor exec(dir, spec);
-    EXPECT_TRUE(exec.run(ExecutorOptions{}));
+    ExecutorOptions options;
+    options.threads = threads;
+    EXPECT_TRUE(exec.run(options));
     EXPECT_TRUE(exec.adaptive_stopped());
     EXPECT_LT(exec.completed().size(), 4u);
     EXPECT_GT(exec.saved_runs(), 0u);
@@ -419,6 +423,16 @@ TEST(AdaptiveTest, ExecutorStopsEarlyAndReportsSavedRuns) {
     for (const auto& r : exec.completed()) runs_done += r.runs;
     const std::uint64_t per_case = runs_done / exec.completed().size();
     EXPECT_EQ(exec.saved_runs(), per_case * (4 - exec.completed().size()));
+}
+
+TEST(AdaptiveTest, ExecutorStopsEarlyAndReportsSavedRuns) {
+    expect_adaptive_stop("adaptive", 0);
+}
+
+TEST(AdaptiveTest, ExecutorStopsEarlyWithMoreThreadsThanShards) {
+    // More workers than shards: the pool still leaves a shard queued for
+    // the convergence check to skip, whatever the host's core count.
+    expect_adaptive_stop("adaptive_t8", 8);
 }
 
 // -------------------------------------------------------- observability

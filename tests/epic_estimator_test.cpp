@@ -97,6 +97,13 @@ TEST(Estimator, CountsAndRunsBookkeeping) {
     const util::Proportion p1 = pm.counts(chain.system().module_id("mask_1"), 0, 0);
     EXPECT_EQ(p1.trials, 32U);
     EXPECT_EQ(p1.hits, 0U);
+
+    // The chain's environment cannot snapshot: with the batched engine
+    // requested (the default), every run still replays from tick 0.
+    ASSERT_FALSE(chain.sim().snapshot_supported());
+    ASSERT_TRUE(options.use_batch);
+    EXPECT_EQ(estimator.fastpath_stats().lanes_launched, 0U);
+    EXPECT_EQ(estimator.fastpath_stats().full_runs, 64U);
 }
 
 TEST(Estimator, DeterministicAcrossRepeats) {

@@ -1,10 +1,9 @@
-// Fast-vs-full equivalence proofs (DESIGN.md §9, §14): every campaign
-// kind — permeability, input coverage, severe, recovery — and the opt::
-// subset evaluator must produce bit-identical results across all three
-// execution paths: the batched SoA kernel, the scalar fast path, and the
-// slow reference. These are the paired runs the acceptance criteria
-// require; the small-scale mechanics are covered by fastpath_test and
-// batch_test.
+// Engine-vs-replay equivalence proofs (DESIGN.md §9): every campaign kind
+// — permeability, input coverage, severe, recovery — and the opt::
+// subset evaluator must produce bit-identical results whether one-shot
+// plans run as batched lanes or replay from tick 0 (`use_batch = false`,
+// the reference). These are the paired runs the acceptance criteria
+// require; the small-scale lane mechanics are covered by batch_test.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -33,12 +32,10 @@ struct TempDir {
     ~TempDir() { fs::remove_all(path); }
 };
 
-exp::CampaignOptions tiny_campaign(bool fastpath, fi::FastPathStats* stats,
-                                   bool batch = false) {
+exp::CampaignOptions tiny_campaign(bool batch, fi::FastPathStats* stats) {
     exp::CampaignOptions o;
     o.case_count = 2;
     o.times_per_bit = 2;
-    o.use_fastpath = fastpath;
     o.use_batch = batch;
     o.fastpath_out = stats;
     return o;
@@ -53,35 +50,28 @@ std::string matrix_csv(const epic::PermeabilityMatrix& pm) {
 TEST(FastpathEquivalence, PermeabilityMatrixBitIdentical) {
     target::ArrestmentSystem sys;
     fi::FastPathStats batch_stats;
-    fi::FastPathStats fast_stats;
-    fi::FastPathStats slow_stats;
+    fi::FastPathStats replay_stats;
 
-    const epic::PermeabilityMatrix batch = exp::estimate_arrestment_permeability(
-        sys, tiny_campaign(true, &batch_stats, /*batch=*/true));
-    const epic::PermeabilityMatrix fast =
-        exp::estimate_arrestment_permeability(sys, tiny_campaign(true, &fast_stats));
-    const epic::PermeabilityMatrix slow =
-        exp::estimate_arrestment_permeability(sys, tiny_campaign(false, &slow_stats));
+    const epic::PermeabilityMatrix batch =
+        exp::estimate_arrestment_permeability(sys, tiny_campaign(true, &batch_stats));
+    const epic::PermeabilityMatrix replay =
+        exp::estimate_arrestment_permeability(sys, tiny_campaign(false, &replay_stats));
 
-    EXPECT_EQ(matrix_csv(fast), matrix_csv(slow));
-    EXPECT_EQ(matrix_csv(batch), matrix_csv(slow));
-    // The fast path actually engaged: runs forked from snapshots and a
-    // meaningful share of golden ticks was reused.
-    EXPECT_GT(fast_stats.forked_runs, 0U);
-    EXPECT_GT(fast_stats.ticks_saved, fast_stats.ticks_executed);
-    EXPECT_EQ(fast_stats.lanes_launched, 0U);
-    EXPECT_EQ(slow_stats.forked_runs, 0U);
-    EXPECT_EQ(slow_stats.pruned_runs, 0U);
-    EXPECT_EQ(fast_stats.runs(), slow_stats.runs());
-    // The batch arm ran its plans as lanes — with every retirement kind
-    // exercised, sealing included — and executed no scalar forks.
-    EXPECT_EQ(batch_stats.runs(), slow_stats.runs());
+    EXPECT_EQ(matrix_csv(batch), matrix_csv(replay));
+    // The reference replayed every run from tick 0.
+    EXPECT_EQ(replay_stats.full_runs, replay_stats.runs());
+    EXPECT_EQ(replay_stats.lanes_launched, 0U);
+    EXPECT_EQ(replay_stats.ticks_saved, 0U);
+    // The engine ran its plans as lanes — with every retirement kind
+    // exercised, sealing included — and reused most golden ticks.
+    EXPECT_EQ(batch_stats.runs(), replay_stats.runs());
     EXPECT_EQ(batch_stats.lanes_launched,
               batch_stats.forked_runs + batch_stats.full_runs);
     EXPECT_GT(batch_stats.lanes_launched, 0U);
     EXPECT_GT(batch_stats.lanes_retired_pruned, 0U);
     EXPECT_GT(batch_stats.lanes_retired_sealed, 0U);
-    EXPECT_LT(batch_stats.ticks_executed, fast_stats.ticks_executed);
+    EXPECT_GT(batch_stats.ticks_saved, batch_stats.ticks_executed);
+    EXPECT_LT(batch_stats.ticks_executed, replay_stats.ticks_executed);
 }
 
 std::vector<exp::SubsetSpec> paper_subsets() {
@@ -104,114 +94,104 @@ void expect_rows_equal(const exp::InputCoverageRow& a, const exp::InputCoverageR
 TEST(FastpathEquivalence, InputCoverageBitIdentical) {
     target::ArrestmentSystem sys;
     fi::FastPathStats batch_stats;
-    fi::FastPathStats fast_stats;
-    fi::FastPathStats slow_stats;
+    fi::FastPathStats replay_stats;
 
     exp::InputCoverageOptions batch_opt;
-    batch_opt.campaign = tiny_campaign(true, &batch_stats, /*batch=*/true);
-    exp::InputCoverageOptions fast_opt;
-    fast_opt.campaign = tiny_campaign(true, &fast_stats);
-    exp::InputCoverageOptions slow_opt;
-    slow_opt.campaign = tiny_campaign(false, &slow_stats);
+    batch_opt.campaign = tiny_campaign(true, &batch_stats);
+    exp::InputCoverageOptions replay_opt;
+    replay_opt.campaign = tiny_campaign(false, &replay_stats);
 
     const exp::InputCoverageResult batch =
         exp::input_coverage_experiment(sys, batch_opt, paper_subsets());
-    const exp::InputCoverageResult fast =
-        exp::input_coverage_experiment(sys, fast_opt, paper_subsets());
-    const exp::InputCoverageResult slow =
-        exp::input_coverage_experiment(sys, slow_opt, paper_subsets());
+    const exp::InputCoverageResult replay =
+        exp::input_coverage_experiment(sys, replay_opt, paper_subsets());
 
-    ASSERT_EQ(fast.rows.size(), slow.rows.size());
-    ASSERT_EQ(batch.rows.size(), slow.rows.size());
-    EXPECT_EQ(fast.ea_names, slow.ea_names);
-    EXPECT_EQ(batch.ea_names, slow.ea_names);
-    for (std::size_t r = 0; r < fast.rows.size(); ++r) {
-        expect_rows_equal(fast.rows[r], slow.rows[r]);
-        expect_rows_equal(batch.rows[r], slow.rows[r]);
+    ASSERT_EQ(batch.rows.size(), replay.rows.size());
+    EXPECT_EQ(batch.ea_names, replay.ea_names);
+    for (std::size_t r = 0; r < batch.rows.size(); ++r) {
+        expect_rows_equal(batch.rows[r], replay.rows[r]);
     }
-    expect_rows_equal(fast.all, slow.all);
-    expect_rows_equal(batch.all, slow.all);
-    EXPECT_GT(fast_stats.forked_runs + fast_stats.skipped_runs, 0U);
-    EXPECT_EQ(fast_stats.lanes_launched, 0U);
-    // Coverage-mode lanes carry armed EAs through the batch kernel.
+    expect_rows_equal(batch.all, replay.all);
+    // Coverage-mode lanes carry armed EAs through the batch kernel; the
+    // reference replays with the bank armed on the live simulator.
     EXPECT_GT(batch_stats.lanes_launched, 0U);
-    EXPECT_EQ(slow_stats.forked_runs, 0U);
+    EXPECT_GT(batch.all.detected_any, 0U);
+    EXPECT_EQ(replay_stats.lanes_launched, 0U);
+    EXPECT_EQ(replay_stats.forked_runs, 0U);
 }
 
 TEST(FastpathEquivalence, SevereCoverageBitIdentical) {
     target::ArrestmentSystem sys;
-    fi::FastPathStats fast_stats;
-    fi::FastPathStats slow_stats;
+    fi::FastPathStats batch_stats;
+    fi::FastPathStats replay_stats;
 
-    // The batch flag is on for the fast arm: periodic severe plans must
-    // still route scalar by design (no lanes launched).
-    exp::CampaignOptions fast_opt = tiny_campaign(true, &fast_stats, /*batch=*/true);
-    fast_opt.case_count = 1;
-    exp::CampaignOptions slow_opt = tiny_campaign(false, &slow_stats);
-    slow_opt.case_count = 1;
+    // The batch flag is on for the first arm: periodic severe plans must
+    // still replay (no lanes launched).
+    exp::CampaignOptions batch_opt = tiny_campaign(true, &batch_stats);
+    batch_opt.case_count = 1;
+    exp::CampaignOptions replay_opt = tiny_campaign(false, &replay_stats);
+    replay_opt.case_count = 1;
 
-    const exp::SevereCoverageResult fast =
-        exp::severe_coverage_experiment(sys, fast_opt, paper_subsets());
-    const exp::SevereCoverageResult slow =
-        exp::severe_coverage_experiment(sys, slow_opt, paper_subsets());
+    const exp::SevereCoverageResult batch =
+        exp::severe_coverage_experiment(sys, batch_opt, paper_subsets());
+    const exp::SevereCoverageResult replay =
+        exp::severe_coverage_experiment(sys, replay_opt, paper_subsets());
 
-    EXPECT_EQ(fast.runs, slow.runs);
-    EXPECT_EQ(fast.failures, slow.failures);
-    ASSERT_EQ(fast.sets.size(), slow.sets.size());
-    for (std::size_t s = 0; s < fast.sets.size(); ++s) {
+    EXPECT_EQ(batch.runs, replay.runs);
+    EXPECT_EQ(batch.failures, replay.failures);
+    ASSERT_EQ(batch.sets.size(), replay.sets.size());
+    for (std::size_t s = 0; s < batch.sets.size(); ++s) {
         for (std::size_t r = 0; r < 3; ++r) {
             for (std::size_t k = 0; k < 3; ++k) {
-                EXPECT_EQ(fast.sets[s].cells[r][k].n, slow.sets[s].cells[r][k].n);
-                EXPECT_EQ(fast.sets[s].cells[r][k].detected,
-                          slow.sets[s].cells[r][k].detected);
+                EXPECT_EQ(batch.sets[s].cells[r][k].n, replay.sets[s].cells[r][k].n);
+                EXPECT_EQ(batch.sets[s].cells[r][k].detected,
+                          replay.sets[s].cells[r][k].detected);
             }
         }
     }
-    // Periodic plans stay on the slow path by design, but the golden
-    // trace for calibration comes through the cache.
-    EXPECT_EQ(fast_stats.forked_runs, 0U);
-    EXPECT_EQ(fast_stats.pruned_runs, 0U);
-    EXPECT_EQ(fast_stats.lanes_launched, 0U);
-    EXPECT_EQ(fast_stats.cache_misses, 1U);
+    // Periodic plans replay by design, but the golden trace for
+    // calibration comes through the cache.
+    EXPECT_EQ(batch_stats.full_runs, batch.runs);
+    EXPECT_EQ(batch_stats.lanes_launched, 0U);
+    EXPECT_EQ(batch_stats.cache_misses, 1U);
 }
 
 TEST(FastpathEquivalence, RecoveryBitIdentical) {
     target::ArrestmentSystem sys;
-    fi::FastPathStats fast_stats;
+    fi::FastPathStats batch_stats;
 
-    // Batch flag on: periodic recovery plans must still route scalar.
-    exp::CampaignOptions fast_opt = tiny_campaign(true, &fast_stats, /*batch=*/true);
-    fast_opt.case_count = 1;
-    exp::CampaignOptions slow_opt = tiny_campaign(false, nullptr);
-    slow_opt.case_count = 1;
+    // Batch flag on: periodic recovery plans must still replay.
+    exp::CampaignOptions batch_opt = tiny_campaign(true, &batch_stats);
+    batch_opt.case_count = 1;
+    exp::CampaignOptions replay_opt = tiny_campaign(false, nullptr);
+    replay_opt.case_count = 1;
 
-    const exp::RecoveryResult fast =
-        exp::recovery_experiment(sys, fast_opt, {"pulscnt", "SetValue"});
-    const exp::RecoveryResult slow =
-        exp::recovery_experiment(sys, slow_opt, {"pulscnt", "SetValue"});
+    const exp::RecoveryResult batch =
+        exp::recovery_experiment(sys, batch_opt, {"pulscnt", "SetValue"});
+    const exp::RecoveryResult replay =
+        exp::recovery_experiment(sys, replay_opt, {"pulscnt", "SetValue"});
 
-    EXPECT_EQ(fast.runs, slow.runs);
-    EXPECT_EQ(fast.failures_baseline, slow.failures_baseline);
-    EXPECT_EQ(fast.failures_with_erm, slow.failures_with_erm);
-    EXPECT_EQ(fast.repairs, slow.repairs);
-    EXPECT_EQ(fast_stats.forked_runs, 0U);  // periodic: slow path
-    EXPECT_EQ(fast_stats.lanes_launched, 0U);
-    EXPECT_EQ(fast_stats.runs(), fast.runs * 2);
+    EXPECT_EQ(batch.runs, replay.runs);
+    EXPECT_EQ(batch.failures_baseline, replay.failures_baseline);
+    EXPECT_EQ(batch.failures_with_erm, replay.failures_with_erm);
+    EXPECT_EQ(batch.repairs, replay.repairs);
+    EXPECT_EQ(batch_stats.lanes_launched, 0U);
+    EXPECT_EQ(batch_stats.full_runs, batch.runs * 2);
+    EXPECT_EQ(batch_stats.runs(), batch.runs * 2);
 }
 
-/// One campaign per (kind, fastpath, batch) in its own directory;
-/// returns the executor after a full run for result extraction.
+/// One campaign per (kind, batch, threads) in its own directory; returns
+/// the executor after a full run for result extraction.
 campaign::CampaignExecutor run_campaign(const std::string& dir,
-                                        campaign::CampaignKind kind, bool fastpath,
-                                        bool batch = false) {
+                                        campaign::CampaignKind kind, bool batch,
+                                        std::size_t threads = 2) {
     campaign::CampaignSpec spec = campaign::CampaignSpec::defaults(kind);
     spec.case_ids.resize(2);
     spec.times_per_bit = 1;
     spec.shards = 2;
     campaign::CampaignExecutor exec(dir, std::move(spec));
     campaign::ExecutorOptions options;
-    options.threads = 2;
-    options.use_fastpath = fastpath;
+    options.threads = threads;
     options.use_batch = batch;
     EXPECT_TRUE(exec.run(options));
     return exec;
@@ -222,79 +202,87 @@ TEST(FastpathEquivalence, CampaignExecutorMergedResultsBitIdentical) {
     static const model::SystemModel system = target::make_arrestment_model();
 
     const auto batch = run_campaign((tmp.path / "batch").string(),
-                                    campaign::CampaignKind::kPermeability, true, true);
-    const auto fast = run_campaign((tmp.path / "fast").string(),
-                                   campaign::CampaignKind::kPermeability, true);
-    const auto slow = run_campaign((tmp.path / "slow").string(),
-                                   campaign::CampaignKind::kPermeability, false);
-    EXPECT_EQ(matrix_csv(fast.merged_matrix(system)),
-              matrix_csv(slow.merged_matrix(system)));
+                                    campaign::CampaignKind::kPermeability, true);
+    const auto replay = run_campaign((tmp.path / "replay").string(),
+                                     campaign::CampaignKind::kPermeability, false);
     EXPECT_EQ(matrix_csv(batch.merged_matrix(system)),
-              matrix_csv(slow.merged_matrix(system)));
+              matrix_csv(replay.merged_matrix(system)));
 
     // Lane counters travel through shard checkpoints into the merged
     // totals and the status reader.
     const fi::FastPathStats batch_totals = batch.fastpath_totals();
     EXPECT_GT(batch_totals.lanes_launched, 0U);
     EXPECT_GT(batch_totals.lanes_retired_sealed, 0U);
-    EXPECT_EQ(fast.fastpath_totals().lanes_launched, 0U);
-    const campaign::CampaignStatus batch_status =
-        campaign::read_status((tmp.path / "batch").string());
-    EXPECT_EQ(batch_status.fastpath.lanes_launched, batch_totals.lanes_launched);
-    EXPECT_EQ(batch_status.fastpath.lanes_retired_sealed,
-              batch_totals.lanes_retired_sealed);
-
-    // Counters surface per shard: the checkpoints carry fastpath stats
-    // and the thread count, and the totals reflect actual forking.
-    const fi::FastPathStats totals = fast.fastpath_totals();
-    EXPECT_GT(totals.forked_runs, 0U);
-    EXPECT_GT(totals.ticks_saved, 0U);
-    EXPECT_EQ(slow.fastpath_totals().forked_runs, 0U);
-    for (const campaign::ShardResult& shard : fast.completed()) {
+    EXPECT_GT(batch_totals.forked_runs, 0U);
+    EXPECT_GT(batch_totals.ticks_saved, 0U);
+    const fi::FastPathStats replay_totals = replay.fastpath_totals();
+    EXPECT_EQ(replay_totals.lanes_launched, 0U);
+    EXPECT_EQ(replay_totals.forked_runs, 0U);
+    EXPECT_EQ(replay_totals.full_runs, replay_totals.runs());
+    for (const campaign::ShardResult& shard : batch.completed()) {
         EXPECT_EQ(shard.threads, 2U);
     }
 
     // And through the status reader (what `campaign status` renders).
     const campaign::CampaignStatus status =
-        campaign::read_status((tmp.path / "fast").string());
-    EXPECT_EQ(status.fastpath.forked_runs, totals.forked_runs);
+        campaign::read_status((tmp.path / "batch").string());
+    EXPECT_EQ(status.fastpath.lanes_launched, batch_totals.lanes_launched);
+    EXPECT_EQ(status.fastpath.lanes_retired_sealed, batch_totals.lanes_retired_sealed);
+    EXPECT_EQ(status.fastpath.forked_runs, batch_totals.forked_runs);
     EXPECT_EQ(status.shard_threads, (std::vector<std::size_t>{2, 2}));
     const std::string rendered = campaign::render_status(status);
     EXPECT_NE(rendered.find("fast path:"), std::string::npos);
+    EXPECT_NE(rendered.find("batch lanes:"), std::string::npos);
     EXPECT_NE(rendered.find("threads per shard:"), std::string::npos);
+}
+
+TEST(FastpathEquivalence, CampaignExecutorMatchesReplayAtAnyThreadCount) {
+    TempDir tmp("campaign_threads");
+    static const model::SystemModel system = target::make_arrestment_model();
+
+    const auto replay = run_campaign((tmp.path / "replay").string(),
+                                     campaign::CampaignKind::kPermeability, false, 1);
+    const std::string expected = matrix_csv(replay.merged_matrix(system));
+    for (const std::size_t threads : {1U, 2U, 4U, 8U}) {
+        const auto batch =
+            run_campaign((tmp.path / ("batch-t" + std::to_string(threads))).string(),
+                         campaign::CampaignKind::kPermeability, true, threads);
+        EXPECT_EQ(matrix_csv(batch.merged_matrix(system)), expected)
+            << threads << " threads";
+    }
 }
 
 TEST(FastpathEquivalence, SevereAndRecoveryCampaignsBitIdentical) {
     TempDir tmp("campaign_sr");
 
-    const auto fast_sev = run_campaign((tmp.path / "fast-sev").string(),
-                                       campaign::CampaignKind::kSevere, true);
-    const auto slow_sev = run_campaign((tmp.path / "slow-sev").string(),
-                                       campaign::CampaignKind::kSevere, false);
-    const exp::SevereCoverageResult fs = fast_sev.merged_severe();
-    const exp::SevereCoverageResult ss = slow_sev.merged_severe();
-    EXPECT_EQ(fs.runs, ss.runs);
-    EXPECT_EQ(fs.failures, ss.failures);
-    ASSERT_EQ(fs.sets.size(), ss.sets.size());
-    for (std::size_t s = 0; s < fs.sets.size(); ++s) {
+    const auto batch_sev = run_campaign((tmp.path / "batch-sev").string(),
+                                        campaign::CampaignKind::kSevere, true);
+    const auto replay_sev = run_campaign((tmp.path / "replay-sev").string(),
+                                         campaign::CampaignKind::kSevere, false);
+    const exp::SevereCoverageResult bs = batch_sev.merged_severe();
+    const exp::SevereCoverageResult rs = replay_sev.merged_severe();
+    EXPECT_EQ(bs.runs, rs.runs);
+    EXPECT_EQ(bs.failures, rs.failures);
+    ASSERT_EQ(bs.sets.size(), rs.sets.size());
+    for (std::size_t s = 0; s < bs.sets.size(); ++s) {
         for (std::size_t r = 0; r < 3; ++r) {
             for (std::size_t k = 0; k < 3; ++k) {
-                EXPECT_EQ(fs.sets[s].cells[r][k].detected,
-                          ss.sets[s].cells[r][k].detected);
+                EXPECT_EQ(bs.sets[s].cells[r][k].detected,
+                          rs.sets[s].cells[r][k].detected);
             }
         }
     }
 
-    const auto fast_rec = run_campaign((tmp.path / "fast-rec").string(),
-                                       campaign::CampaignKind::kRecovery, true);
-    const auto slow_rec = run_campaign((tmp.path / "slow-rec").string(),
-                                       campaign::CampaignKind::kRecovery, false);
-    const exp::RecoveryResult fr = fast_rec.merged_recovery();
-    const exp::RecoveryResult sr = slow_rec.merged_recovery();
-    EXPECT_EQ(fr.runs, sr.runs);
-    EXPECT_EQ(fr.failures_baseline, sr.failures_baseline);
-    EXPECT_EQ(fr.failures_with_erm, sr.failures_with_erm);
-    EXPECT_EQ(fr.repairs, sr.repairs);
+    const auto batch_rec = run_campaign((tmp.path / "batch-rec").string(),
+                                        campaign::CampaignKind::kRecovery, true);
+    const auto replay_rec = run_campaign((tmp.path / "replay-rec").string(),
+                                         campaign::CampaignKind::kRecovery, false);
+    const exp::RecoveryResult br = batch_rec.merged_recovery();
+    const exp::RecoveryResult rr = replay_rec.merged_recovery();
+    EXPECT_EQ(br.runs, rr.runs);
+    EXPECT_EQ(br.failures_baseline, rr.failures_baseline);
+    EXPECT_EQ(br.failures_with_erm, rr.failures_with_erm);
+    EXPECT_EQ(br.repairs, rr.repairs);
 }
 
 TEST(FastpathEquivalence, EvaluatorGroundTruthBitIdentical) {
@@ -306,30 +294,21 @@ TEST(FastpathEquivalence, EvaluatorGroundTruthBitIdentical) {
     batch_opt.times_per_bit = 1;
     batch_opt.shards = 2;
     batch_opt.use_batch = true;
-    opt::EvaluatorOptions fast_opt = batch_opt;
-    fast_opt.dir = (tmp.path / "fast").string();
-    fast_opt.use_batch = false;
-    opt::EvaluatorOptions slow_opt = fast_opt;
-    slow_opt.dir = (tmp.path / "slow").string();
-    slow_opt.use_fastpath = false;
+    opt::EvaluatorOptions replay_opt = batch_opt;
+    replay_opt.dir = (tmp.path / "replay").string();
+    replay_opt.use_batch = false;
 
     opt::CampaignEvaluator batch(batch_opt);
-    opt::CampaignEvaluator fast(fast_opt);
-    opt::CampaignEvaluator slow(slow_opt);
+    opt::CampaignEvaluator replay(replay_opt);
     const std::vector<std::vector<std::string>> subsets{{"pulscnt", "SetValue"},
                                                         {"IsValue"}};
     const auto batch_entries = batch.evaluate(subsets);
-    const auto fast_entries = fast.evaluate(subsets);
-    const auto slow_entries = slow.evaluate(subsets);
-    ASSERT_EQ(fast_entries.size(), slow_entries.size());
-    ASSERT_EQ(batch_entries.size(), slow_entries.size());
-    for (std::size_t i = 0; i < fast_entries.size(); ++i) {
-        EXPECT_EQ(fast_entries[i].detected, slow_entries[i].detected);
-        EXPECT_EQ(fast_entries[i].active, slow_entries[i].active);
-        EXPECT_DOUBLE_EQ(fast_entries[i].coverage, slow_entries[i].coverage);
-        EXPECT_EQ(batch_entries[i].detected, slow_entries[i].detected);
-        EXPECT_EQ(batch_entries[i].active, slow_entries[i].active);
-        EXPECT_DOUBLE_EQ(batch_entries[i].coverage, slow_entries[i].coverage);
+    const auto replay_entries = replay.evaluate(subsets);
+    ASSERT_EQ(batch_entries.size(), replay_entries.size());
+    for (std::size_t i = 0; i < batch_entries.size(); ++i) {
+        EXPECT_EQ(batch_entries[i].detected, replay_entries[i].detected);
+        EXPECT_EQ(batch_entries[i].active, replay_entries[i].active);
+        EXPECT_DOUBLE_EQ(batch_entries[i].coverage, replay_entries[i].coverage);
     }
 }
 

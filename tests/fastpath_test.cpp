@@ -1,9 +1,9 @@
-// Fast-path unit tests (src/fi/fastpath.*, src/runtime/snapshot.*):
+// Golden-data unit tests (src/fi/fastpath.*, src/runtime/snapshot.*):
 // snapshot round-trips, snapshot-resumed determinism on both targets
-// (including armed monitors and mid-run injections), the injection
-// runner's fork/skip/prune equivalence with the slow path at small scale,
-// and the golden-cache hit/miss/eviction behaviour. The campaign-scale
-// fast-vs-full equivalence proofs live in fastpath_equivalence_test.
+// (including armed monitors and mid-run injections), and the golden-cache
+// hit/miss/eviction behaviour. Lane fork/skip/prune mechanics are in
+// batch_test; the campaign-scale engine-vs-replay equivalence proofs live
+// in fastpath_equivalence_test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -151,150 +151,6 @@ TEST(SnapshotResume, DeterministicWithArmedEasAndInjection) {
     EXPECT_TRUE(end.same_state(ref_end));
     EXPECT_EQ(bank.triggered(), ref_triggered);
     sys.sim().clear_monitors();
-}
-
-// ------------------------------------------------------------ runner
-
-struct RunnerFixture {
-    target::ArrestmentSystem sys;
-    fi::Injector injector{sys.sim()};
-    std::shared_ptr<const fi::GoldenCaseData> golden;
-
-    explicit RunnerFixture(std::size_t test_case) {
-        sys.configure(target::standard_test_cases()[test_case]);
-        golden = std::make_shared<const fi::GoldenCaseData>(
-            fi::capture_golden_data(sys.sim(), target::kMaxRunTicks, true));
-    }
-
-    /// Slow-path reference for one plan: arm + reset + run.
-    runtime::RunResult slow(const std::vector<fi::Injection>& plan,
-                            std::uint64_t seed) {
-        injector.arm(plan, seed);
-        sys.sim().reset();
-        return sys.sim().run(target::kMaxRunTicks);
-    }
-};
-
-void expect_traces_equal(const runtime::Trace& a, const runtime::Trace& b,
-                         const model::SystemModel& system) {
-    for (const model::SignalId sid : system.all_signals()) {
-        ASSERT_EQ(a.series(sid), b.series(sid))
-            << "trace mismatch on " << system.signal_name(sid);
-    }
-}
-
-TEST(InjectionRunner, ForkedRunMatchesSlowPath) {
-    RunnerFixture fx(0);
-    const runtime::Tick len = fx.golden->run.length;
-    const model::ModuleId calc = fx.sys.system().module_id("CALC");
-    const std::vector<fi::Injection> plan{
-        fi::Injection::into_module_input(calc, 2, 5, len / 2)};
-
-    const runtime::RunResult slow = fx.slow(plan, 11);
-    const std::size_t slow_fired = fx.injector.fired_count();
-    runtime::Snapshot slow_end;
-    fx.sys.sim().capture_snapshot(slow_end);
-    const runtime::Trace slow_trace = *fx.sys.sim().trace();
-
-    fi::InjectionRunner runner(fx.sys.sim(), fx.injector);
-    runner.set_golden(fx.golden);
-    const runtime::RunResult fast = runner.run(plan, target::kMaxRunTicks, 11);
-
-    EXPECT_EQ(fast.ticks, slow.ticks);
-    EXPECT_EQ(fast.env_finished, slow.env_finished);
-    EXPECT_EQ(fx.injector.fired_count(), slow_fired);
-    runtime::Snapshot fast_end;
-    fx.sys.sim().capture_snapshot(fast_end);
-    EXPECT_TRUE(fast_end.same_state(slow_end));
-    expect_traces_equal(*fx.sys.sim().trace(), slow_trace, fx.sys.system());
-    EXPECT_EQ(runner.stats().forked_runs, 1U);
-    EXPECT_GT(runner.stats().ticks_saved, 0U);
-}
-
-TEST(InjectionRunner, SkipsRunsInjectedAfterGoldenEnd) {
-    RunnerFixture fx(0);
-    const runtime::Tick len = fx.golden->run.length;
-    const model::SignalId sid = fx.sys.system().signal_id("PACNT");
-    const std::vector<fi::Injection> plan{fi::Injection::into_signal(sid, 3, len + 5)};
-
-    const runtime::RunResult slow = fx.slow(plan, 3);
-    EXPECT_EQ(fx.injector.fired_count(), 0U);  // inactive on the slow path
-    runtime::Snapshot slow_end;
-    fx.sys.sim().capture_snapshot(slow_end);
-    const runtime::Trace slow_trace = *fx.sys.sim().trace();
-
-    fi::InjectionRunner runner(fx.sys.sim(), fx.injector);
-    runner.set_golden(fx.golden);
-    const runtime::RunResult fast = runner.run(plan, target::kMaxRunTicks, 3);
-
-    EXPECT_EQ(fast.ticks, slow.ticks);
-    EXPECT_EQ(fast.env_finished, slow.env_finished);
-    EXPECT_EQ(fx.injector.fired_count(), 0U);
-    runtime::Snapshot fast_end;
-    fx.sys.sim().capture_snapshot(fast_end);
-    EXPECT_TRUE(fast_end.same_state(slow_end));
-    expect_traces_equal(*fx.sys.sim().trace(), slow_trace, fx.sys.system());
-    EXPECT_EQ(runner.stats().skipped_runs, 1U);
-    EXPECT_EQ(runner.stats().ticks_executed, 0U);
-}
-
-TEST(InjectionRunner, PrunesConvergedRunBitIdentically) {
-    RunnerFixture fx(0);
-    const runtime::Tick len = fx.golden->run.length;
-    // CLOCK's only input feeds ms_slot_nbr, which no module consumes, and
-    // leaves CLOCK's internal state untouched: the corrupted state washes
-    // out after one tick and the run re-converges with the golden run.
-    const model::ModuleId clock = fx.sys.system().module_id("CLOCK");
-    const std::vector<fi::Injection> plan{
-        fi::Injection::into_module_input(clock, 0, 2, len / 2)};
-
-    const runtime::RunResult slow = fx.slow(plan, 5);
-    const std::size_t slow_fired = fx.injector.fired_count();
-    runtime::Snapshot slow_end;
-    fx.sys.sim().capture_snapshot(slow_end);
-    const runtime::Trace slow_trace = *fx.sys.sim().trace();
-
-    fi::InjectionRunner runner(fx.sys.sim(), fx.injector);
-    runner.set_golden(fx.golden);
-    const runtime::RunResult fast = runner.run(plan, target::kMaxRunTicks, 5);
-
-    EXPECT_EQ(fast.ticks, slow.ticks);
-    EXPECT_EQ(fast.env_finished, slow.env_finished);
-    EXPECT_EQ(fx.injector.fired_count(), slow_fired);
-    runtime::Snapshot fast_end;
-    fx.sys.sim().capture_snapshot(fast_end);
-    EXPECT_TRUE(fast_end.same_state(slow_end));
-    expect_traces_equal(*fx.sys.sim().trace(), slow_trace, fx.sys.system());
-    EXPECT_EQ(runner.stats().pruned_runs, 1U);
-    // Forked to len/2 and pruned shortly after: almost the whole run is
-    // reused from the golden data.
-    EXPECT_LT(runner.stats().ticks_executed, 16U);
-}
-
-TEST(InjectionRunner, DisabledOrNullGoldenUsesSlowPath) {
-    RunnerFixture fx(0);
-    const model::SignalId sid = fx.sys.system().signal_id("TCNT");
-    const std::vector<fi::Injection> plan{
-        fi::Injection::into_signal(sid, 1, fx.golden->run.length / 2)};
-
-    fi::InjectionRunner runner(fx.sys.sim(), fx.injector);
-    runner.set_golden(fx.golden);
-    runner.set_enabled(false);  // --no-fastpath
-    (void)runner.run(plan, target::kMaxRunTicks, 1);
-    EXPECT_EQ(runner.stats().full_runs, 1U);
-    EXPECT_EQ(runner.stats().forked_runs, 0U);
-
-    runner.set_enabled(true);
-    runner.set_golden(nullptr);  // periodic models route this way
-    (void)runner.run(plan, target::kMaxRunTicks, 1);
-    EXPECT_EQ(runner.stats().full_runs, 2U);
-    EXPECT_EQ(runner.stats().forked_runs, 0U);
-
-    // A golden captured under a different tick budget is rejected too.
-    runner.set_golden(fx.golden);
-    (void)runner.run(plan, target::kMaxRunTicks - 1, 1);
-    EXPECT_EQ(runner.stats().full_runs, 3U);
-    EXPECT_EQ(runner.stats().runs(), 3U);
 }
 
 // ------------------------------------------------------------ cache

@@ -8,7 +8,7 @@ in tools/bench_tolerances.json, keyed by the documents' 'benchmark'
 discriminator (the same field schemas/bench.schema.json switches on).
 
 Each tolerance entry addresses one metric by dotted path into the
-document (e.g. "fast.runs_per_s") and declares one of:
+document (e.g. "batch.runs_per_s") and declares one of:
 
   {"direction": "higher_better", "tolerance_pct": 30}
       regression when fresh < baseline * (1 - 30/100)

@@ -61,7 +61,6 @@
 #include "analysis/source_lint.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/observer.hpp"
-#include "fi/batch.hpp"
 #include "fi/fastpath.hpp"
 #include "obs/manifest.hpp"
 #include "epic/impact.hpp"
@@ -97,21 +96,18 @@ int usage() {
                  "usage: epea_tool <command> [options]\n"
                  "  describe [--dot]\n"
                  "  simulate [--mass KG] [--speed MPS]\n"
-                 "  estimate [--cases N] [--times M] [--out FILE] [--no-fastpath]\n"
-                 "           [--no-batch] [--batch-width N]\n"
+                 "  estimate [--cases N] [--times M] [--out FILE] [--no-batch]\n"
                  "           [--trace-out FILE] [--metrics-out FILE]\n"
                  "  analyze FILE [--sink SIGNAL]\n"
                  "  inject --signal NAME --bit B --at TICK\n"
                  "  campaign run --dir DIR [--spec FILE] [--kind K] [--cases N]\n"
                  "               [--times M] [--shards S] [--threads T]\n"
                  "               [--max-shards N] [--adaptive HALF_WIDTH]\n"
-                 "               [--min-trials N] [--out FILE] [--no-fastpath]\n"
-                 "               [--no-batch] [--batch-width N]\n"
+                 "               [--min-trials N] [--out FILE] [--no-batch]\n"
                  "               [--trace-out FILE] [--metrics-out FILE]\n"
                  "               [--timeline-interval MS] [--timeline-stall N]\n"
                  "  campaign resume --dir DIR [--threads T] [--max-shards N]\n"
-                 "                  [--out FILE] [--no-fastpath]\n"
-                 "                  [--no-batch] [--batch-width N]\n"
+                 "                  [--out FILE] [--no-batch]\n"
                  "                  [--trace-out FILE] [--metrics-out FILE]\n"
                  "                  [--timeline-interval MS] [--timeline-stall N]\n"
                  "  campaign status --dir DIR [--metrics] [--follow]\n"
@@ -124,7 +120,7 @@ int usage() {
                  "                 [--budget-memory B] [--json] [--no-prune]\n"
                  "                 [--budget-time T] [--ground-truth --dir DIR]\n"
                  "                 [--cases N] [--times M] [--shards S] [--threads T]\n"
-                 "                 [--no-fastpath] [--no-batch] [--batch-width N]\n"
+                 "                 [--no-batch]\n"
                  "                 [--trace-out FILE] [--metrics-out FILE]\n"
                  "  place frontier [--error-model M] [--out-prefix PATH]\n"
                  "                 [--ground-truth --dir DIR] [--cases N] [--times M]\n"
@@ -207,25 +203,6 @@ bool has_flag(const std::vector<std::string>& args, const char* flag) {
     return false;
 }
 
-/// Shared --no-batch / --batch-width handling. Returns false (with a
-/// message) when the requested width is 0 or above the hard cap — the
-/// same style of sizing validation the serve daemon applies to thread
-/// counts.
-bool parse_batch_flags(const std::vector<std::string>& args, bool& use_batch,
-                       std::size_t& batch_width) {
-    use_batch = !has_flag(args, "--no-batch");
-    if (const auto w = flag_value(args, "--batch-width")) {
-        const unsigned long v = std::stoul(*w);
-        if (v == 0 || v > fi::BatchRunner::kMaxWidth) {
-            std::fprintf(stderr, "epea_tool: --batch-width must be in [1, %zu]\n",
-                         fi::BatchRunner::kMaxWidth);
-            return false;
-        }
-        batch_width = static_cast<std::size_t>(v);
-    }
-    return true;
-}
-
 /// Observability plumbing shared by observed commands: arms a
 /// RunRecorder on construction; finish() finalizes it and writes the
 /// --trace-out/--metrics-out artifacts plus, when an artifact directory
@@ -270,9 +247,8 @@ int cmd_simulate(const std::vector<std::string>& args) {
 
 int cmd_estimate(const std::vector<std::string>& args) {
     if (!flags_ok(args,
-                  {"--cases", "--times", "--out", "--batch-width", "--trace-out",
-                   "--metrics-out"},
-                  {"--no-fastpath", "--no-batch"})) {
+                  {"--cases", "--times", "--out", "--trace-out", "--metrics-out"},
+                  {"--no-batch"})) {
         return usage();
     }
     exp::CampaignOptions options = exp::CampaignOptions::from_env();
@@ -282,8 +258,7 @@ int cmd_estimate(const std::vector<std::string>& args) {
     if (const auto t = flag_value(args, "--times")) {
         options.times_per_bit = static_cast<std::size_t>(std::stoul(*t));
     }
-    options.use_fastpath = !has_flag(args, "--no-fastpath");
-    if (!parse_batch_flags(args, options.use_batch, options.batch_width)) return 2;
+    options.use_batch = !has_flag(args, "--no-batch");
     fi::FastPathStats fastpath;
     options.fastpath_out = &fastpath;
 
@@ -296,7 +271,7 @@ int cmd_estimate(const std::vector<std::string>& args) {
         config.emplace("max_ticks", util::JsonValue(options.max_ticks));
         obs_cli.manifest().config = std::move(config);
         obs_cli.manifest().seed_base = options.seed;
-        obs_cli.manifest().fastpath = options.use_fastpath;
+        obs_cli.manifest().fastpath = options.use_batch;
     }
 
     std::fprintf(stderr, "estimating (%zu cases x %zu times/bit)...\n",
@@ -471,8 +446,7 @@ int run_and_report(campaign::CampaignExecutor& exec,
         opts.max_shards = static_cast<std::size_t>(std::stoul(*m));
     }
     opts.echo_events = has_flag(args, "--verbose");
-    opts.use_fastpath = !has_flag(args, "--no-fastpath");
-    if (!parse_batch_flags(args, opts.use_batch, opts.batch_width)) return 2;
+    opts.use_batch = !has_flag(args, "--no-batch");
     if (const auto i = flag_value(args, "--timeline-interval")) {
         opts.timeline_interval_ms = static_cast<std::uint32_t>(std::stoul(*i));
     }
@@ -485,7 +459,7 @@ int run_and_report(campaign::CampaignExecutor& exec,
     obs_cli.manifest().config =
         util::JsonValue::parse(exec.spec().to_json()).as_object();
     obs_cli.manifest().seed_base = exec.spec().seed;
-    obs_cli.manifest().fastpath = opts.use_fastpath;
+    obs_cli.manifest().fastpath = opts.use_batch;
     obs_cli.manifest().threads = opts.threads;
 
     const bool complete = exec.run(opts);
@@ -558,9 +532,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
         if (sub == "resume") {
             if (!flags_ok(rest,
                           {"--dir", "--threads", "--max-shards", "--out",
-                           "--batch-width", "--trace-out", "--metrics-out",
-                           "--timeline-interval", "--timeline-stall"},
-                          {"--verbose", "--no-fastpath", "--no-batch"})) {
+                           "--trace-out", "--metrics-out", "--timeline-interval",
+                           "--timeline-stall"},
+                          {"--verbose", "--no-batch"})) {
                 return usage();
             }
             campaign::CampaignExecutor exec = campaign::CampaignExecutor::open(*dir);
@@ -570,9 +544,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
         if (!flags_ok(rest,
                       {"--dir", "--spec", "--kind", "--cases", "--times", "--shards",
                        "--threads", "--max-shards", "--adaptive", "--min-trials",
-                       "--out", "--batch-width", "--trace-out", "--metrics-out",
-                       "--timeline-interval", "--timeline-stall"},
-                      {"--verbose", "--no-fastpath", "--no-batch"})) {
+                       "--out", "--trace-out", "--metrics-out", "--timeline-interval",
+                       "--timeline-stall"},
+                      {"--verbose", "--no-batch"})) {
             return usage();
         }
 
@@ -650,10 +624,7 @@ opt::PlacementOptimizer make_place_optimizer(
             options.threads = static_cast<std::size_t>(std::stoul(*t));
         }
         options.echo_events = has_flag(args, "--verbose");
-        options.use_fastpath = !has_flag(args, "--no-fastpath");
-        if (!parse_batch_flags(args, options.use_batch, options.batch_width)) {
-            throw std::invalid_argument("--batch-width out of range");
-        }
+        options.use_batch = !has_flag(args, "--no-batch");
         mode_out = "ground-truth";
         return opt::PlacementOptimizer::ground_truth(std::move(options));
     }
@@ -678,9 +649,9 @@ int cmd_place(const std::vector<std::string>& args) {
     if (!flags_ok(rest,
                   {"--error-model", "--benefit", "--budget-memory", "--budget-time",
                    "--dir", "--cases", "--times", "--shards", "--threads",
-                   "--batch-width", "--out-prefix", "--trace-out", "--metrics-out"},
-                  {"--ground-truth", "--verbose", "--no-fastpath", "--no-batch",
-                   "--json", "--no-prune"})) {
+                   "--out-prefix", "--trace-out", "--metrics-out"},
+                  {"--ground-truth", "--verbose", "--no-batch", "--json",
+                   "--no-prune"})) {
         return usage();
     }
 
@@ -707,7 +678,7 @@ int cmd_place(const std::vector<std::string>& args) {
             config.emplace("error_model", util::JsonValue(opt::to_string(model)));
             config.emplace("mode", util::JsonValue(mode));
             obs_cli.manifest().config = std::move(config);
-            obs_cli.manifest().fastpath = !has_flag(rest, "--no-fastpath");
+            obs_cli.manifest().fastpath = !has_flag(rest, "--no-batch");
         }
 
         if (sub == "optimize") {
@@ -792,9 +763,8 @@ std::optional<util::JsonValue> read_json_file(const std::string& path) {
 /// the phase totals sum to the union of traced time by construction.
 const char* report_phase_of(const std::string& name) {
     if (name == "fi.golden_capture") return "golden-build";
-    if (name == "fi.fork") return "fork";
     if (name == "fi.batch_flush") return "batch-kernel";
-    if (name == "fi.run" || name == "sim.run") return "scalar-run";
+    if (name == "fi.run" || name == "sim.run") return "replay";
     if (name == "campaign.checkpoint") return "checkpoint";
     if (name == "campaign.merge") return "merge";
     if (name.rfind("campaign.", 0) == 0 || name.rfind("epic.", 0) == 0 ||

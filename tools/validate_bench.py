@@ -2,8 +2,8 @@
 """Validate committed benchmark artifacts against schemas/bench.schema.json.
 
 The schema is a discriminated union: its top-level 'benchmarks' map keys
-sub-schemas by the document's 'benchmark' field (BM_CampaignFastpath,
-BM_CampaignBatch, obs_overhead, timeline_overhead, analytic, serve).
+sub-schemas by the document's 'benchmark' field (BM_CampaignBatch,
+obs_overhead, timeline_overhead, analytic, serve).
 Shared shapes live in '$defs' and are resolved through local
 '#/$defs/...' $ref pointers.
 
