@@ -1,8 +1,9 @@
 // Cost-aware placement frontier (src/opt/) over the arrestment target:
 // enumerates all 127 EA-location subsets under both error models with
-// the analytic benefit estimator, prints the frontier report validating
+// the analytic engine benefit, prints the frontier report validating
 // the paper's placements, and writes the frontier exports
-// (frontier_placement_<model>.{csv,json,dot}) alongside fig5/fig6.
+// (frontier_placement_<model>.{csv,json,dot}) alongside fig5/fig6. The
+// DOT is byte-identical to `epea_tool place frontier --out-prefix`.
 // A synthetic 30-signal model then demonstrates the search-regime split:
 // greedy completes in milliseconds where the exact lattice (2^30) is
 // infeasible and refused.
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "analytic/benefit.hpp"
 #include "epic/placement.hpp"
 #include "exp/paper_data.hpp"
 #include "opt/optimizer.hpp"
@@ -24,7 +26,7 @@ int main() {
 
     for (const opt::ErrorModel model :
          {opt::ErrorModel::kInput, opt::ErrorModel::kSevere}) {
-        opt::PlacementOptimizer optimizer = opt::PlacementOptimizer::analytic(pm, model);
+        opt::PlacementOptimizer optimizer = analytic::make_engine_optimizer(pm, model);
         const opt::Frontier frontier = optimizer.frontier();
 
         std::printf("=== %s error model ===\n%s\n", opt::to_string(model),
@@ -54,7 +56,7 @@ int main() {
     const std::vector<model::SignalId> candidates =
         epic::ea_candidate_signals(*synth_sys.system, /*veto_boolean=*/true);
 
-    opt::PlacementOptimizer big = opt::PlacementOptimizer::analytic(
+    opt::PlacementOptimizer big = analytic::make_engine_optimizer(
         synth_sys.matrix, opt::ErrorModel::kInput, candidates);
     opt::SearchOptions so;
     so.budget.memory = 600.0;

@@ -36,11 +36,13 @@ const std::vector<RuleInfo>& rule_catalog() {
          "trustworthiness threshold; more injection runs are needed"},
         {"EPEA-E034", Severity::kError, "lossless-cycle",
          "a feedback cycle over two or more signals has permeability "
-         "product ~1; truncated path prefixes carry non-negligible weight, "
-         "breaking opt::visibility composition"},
+         "product ~1; the analytic engine's noisy-OR fixpoint does not "
+         "contract around it and stops at its iteration cap unconverged"},
         {"EPEA-W033", Severity::kWarning, "lossy-feedback",
-         "a feedback cycle has permeability product >= 0.5; analytic "
-         "visibility underestimates propagation through it"},
+         "a feedback cycle has permeability product >= 0.5; the analytic "
+         "engine's fixpoint composes repeated walks around it as "
+         "independent, so its estimates through the cycle are least "
+         "trustworthy"},
         {"EPEA-W035", Severity::kWarning, "zero-exposure-output",
          "a system output has zero error exposure; no modelled error ever "
          "reaches the actuator, which usually means missing matrix rows"},

@@ -1,9 +1,9 @@
 // Permeability-matrix sanity (DESIGN.md §11, EPEA-E03x/W03x): value
 // ranges, estimation-count consistency, confidence-interval width, and
-// the weighted-cycle checks that protect opt::visibility's path-prefix
-// composition (paths never revisit a signal, so a near-lossless feedback
-// cycle means the truncated prefixes carry weight the analytic measures
-// silently drop).
+// the weighted-cycle checks that protect the analytic engine's fixpoint
+// (analytic::Engine): a heavy feedback cycle is where its independent
+// walks are least trustworthy, and a near-lossless one never contracts,
+// so the Kleene iteration stops at its cap unconverged.
 #pragma once
 
 #include <istream>

@@ -79,9 +79,11 @@ public:
     [[nodiscard]] ReachProfile solve(model::SignalId source) const;
 
     /// Composed source→sink permeability: the probability an error in
-    /// `source` becomes visible at `sink`. The analytic counterpart of
-    /// opt::visibility (and of epic::impact when `sink` is a system
-    /// output). `source == sink` is the degenerate 1.0.
+    /// `source` becomes visible at `sink`, from the noisy-OR fixpoint.
+    /// The analytic counterpart of the exact path oracle epic::impact
+    /// (which enumerates simple paths and so cannot walk feedback);
+    /// analytic::enumeration_check measures the gap. `source == sink` is
+    /// the degenerate 1.0.
     [[nodiscard]] Bound permeability(model::SignalId source,
                                      model::SignalId sink) const;
 

@@ -4,13 +4,13 @@
 #include <cmath>
 
 #include "alt/tank_system.hpp"
+#include "epic/impact.hpp"
 #include "epic/measures.hpp"
 #include "exp/paper_data.hpp"
 #include "fi/batch.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/injection.hpp"
 #include "fi/injector.hpp"
-#include "opt/benefit.hpp"
 #include "prove/graph.hpp"
 #include "prove/prover.hpp"
 #include "synth/generator.hpp"
@@ -51,7 +51,7 @@ EnumerationCheck enumeration_check(const epic::PermeabilityMatrix& pm,
         for (const model::SignalId observer : system.all_signals()) {
             if (source == observer) continue;
             const double composed = engine.permeability(source, observer).point;
-            const double exact = opt::visibility(pm, source, observer);
+            const double exact = epic::impact(pm, source, observer);
             const double d = abs_diff(composed, exact);
             ++check.pairs;
             sum += d;

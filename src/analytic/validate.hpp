@@ -4,7 +4,7 @@
 //
 // Three prongs, one JSON report (the CI `analytic-parity` artifact):
 //  1. enumeration_check — engine fixpoint vs the exact path-enumeration
-//     measures (opt::visibility per source/observer pair and
+//     measures (epic::impact per source/observer pair and
 //     epic::signal_exposure per signal) on a given matrix. On the paper's
 //     Table-1 matrix this is the Table-1/2 agreement gate.
 //  2. campaign_check — on a *measured* arrestment matrix, compare the

@@ -1,23 +1,65 @@
 #include "epic/impact.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace epea::epic {
 
-double impact(const PermeabilityMatrix& pm, model::SignalId source,
-              model::SignalId sink, const TreeOptions& options) {
-    if (source == sink) return 1.0;
-    const auto paths = forward_paths(pm, source, options);
+namespace {
+
+/// Depth-first walk over the simple forward paths from the source that
+/// stops at the observer: every path that reaches the observer is one
+/// distinct path prefix ending there, composed once. Paths are visited
+/// in forward_paths() order and weighted in edge order, so a sink no
+/// module consumes gets bit-for-bit the terminal-path product.
+struct PrefixWalker {
+    const PermeabilityMatrix& pm;
+    const model::SystemModel& system;
+    const TreeOptions& options;
+    model::SignalId observer;
+    std::vector<bool> on_path;
     double survive = 1.0;
-    for (const PropPath& path : paths) {
-        // The impact tree's relevant leaves are those at the sink; other
-        // leaves (dead ends, other outputs) do not contribute to this
-        // pairwise impact.
-        if (path.terminal() != sink) continue;
-        survive *= 1.0 - path.weight();
+    std::size_t leaves = 0;
+
+    void walk(model::SignalId cur, double weight) {
+        if (cur == observer) {
+            survive *= 1.0 - weight;
+            count_leaf();
+            return;
+        }
+        on_path[cur.index()] = true;
+        bool expanded = false;
+        for (const model::PortRef& consumer : system.consumers_of(cur)) {
+            const auto& spec = system.module(consumer.module);
+            for (std::uint32_t k = 0; k < spec.output_count(); ++k) {
+                const double p = pm.get(consumer.module, consumer.port, k);
+                if (p <= options.epsilon) continue;
+                const model::SignalId next = spec.outputs[k];
+                if (on_path[next.index()]) continue;  // no signal revisits
+                expanded = true;
+                walk(next, weight * p);
+            }
+        }
+        if (!expanded) count_leaf();
+        on_path[cur.index()] = false;
     }
-    return 1.0 - survive;
+
+    void count_leaf() {
+        if (++leaves > options.max_paths) {
+            throw std::runtime_error("impact: path explosion (max_paths)");
+        }
+    }
+};
+
+}  // namespace
+
+double impact(const PermeabilityMatrix& pm, model::SignalId source,
+              model::SignalId observer, const TreeOptions& options) {
+    if (source == observer) return 1.0;
+    PrefixWalker walker{pm, pm.system(), options, observer,
+                        std::vector<bool>(pm.system().signal_count(), false)};
+    walker.walk(source, 1.0);
+    return 1.0 - walker.survive;
 }
 
 std::vector<ImpactRow> impact_profile(const PermeabilityMatrix& pm,

@@ -5,6 +5,14 @@
 //   C(s,i)            = C_{o,i} * impact(Ss -> So_i)
 //   C(s)              = 1 - Π_i (1 - C(s,i))
 //
+// The paths composed for impact(Ss -> So) are the distinct simple
+// forward paths from Ss that reach So, whether or not they continue past
+// it: for a system output nothing consumes these are exactly the impact
+// tree's leaves at So (Table 5, Figs 4-6), and for an intermediate
+// observer they are the prefixes through which an EA placed there sees
+// the error. This is the repo's exact path oracle; analytic::Engine's
+// fixpoint is checked against it (analytic::enumeration_check).
+//
 // Impact is a relative ranking measure (independence across paths rarely
 // holds); criticality additionally folds in designer-assigned output
 // criticalities and only matters for systems with multiple outputs.
@@ -17,11 +25,13 @@
 
 namespace epea::epic {
 
-/// Impact of errors in `source` on system output `sink` (Eq. 2).
-/// Returns 0 when no propagation path exists. `source == sink` is the
-/// degenerate case the paper footnotes as "impact 1.0".
+/// Impact of errors in `source` on `observer` (Eq. 2): 1 - prod over the
+/// distinct forward-path prefixes from source ending at observer of
+/// (1 - prefix weight). Returns 0 when no propagation path exists.
+/// `source == observer` is the degenerate case the paper footnotes as
+/// "impact 1.0". Throws std::runtime_error past options.max_paths.
 [[nodiscard]] double impact(const PermeabilityMatrix& pm, model::SignalId source,
-                            model::SignalId sink, const TreeOptions& options = {});
+                            model::SignalId observer, const TreeOptions& options = {});
 
 /// One row of the Table-5 impact profile.
 struct ImpactRow {

@@ -56,34 +56,12 @@ std::vector<ReferenceSet> arrestment_reference_sets() {
     return sets;
 }
 
-PlacementOptimizer PlacementOptimizer::analytic(const epic::PermeabilityMatrix& pm,
-                                                ErrorModel model) {
-    std::vector<model::SignalId> ids;
-    for (const auto& [ea_name, signal_name] : exp::arrestment_ea_signals()) {
-        ids.push_back(pm.system().signal_id(signal_name));
-    }
-    return analytic(pm, model, ids);
-}
-
-PlacementOptimizer PlacementOptimizer::analytic(
-    const epic::PermeabilityMatrix& pm, ErrorModel model,
-    const std::vector<model::SignalId>& candidates) {
-    PlacementOptimizer opt;
-    const CostModel costs = CostModel::from_signal_kinds(pm.system(), candidates);
-    std::vector<model::SignalId> costed;
-    for (const model::SignalId id : candidates) {
-        const std::string& name = pm.system().signal_name(id);
-        if (!costs.has(name)) continue;  // boolean signals carry no EA
-        opt.candidates_.push_back(Candidate{name, costs.of(name)});
-        costed.push_back(id);
-    }
-    opt.analytic_ = std::make_shared<AnalyticBenefit>(pm, model, costed);
-    return opt;
-}
-
 PlacementOptimizer PlacementOptimizer::with_detection(
     const model::SystemModel& system, const std::vector<model::SignalId>& candidates,
     std::vector<std::vector<double>> detect) {
+    if (candidates.empty()) {
+        throw std::invalid_argument("PlacementOptimizer: no candidate locations");
+    }
     PlacementOptimizer opt;
     const CostModel costs = CostModel::from_signal_kinds(system, candidates);
     for (const model::SignalId id : candidates) {
@@ -96,7 +74,14 @@ PlacementOptimizer PlacementOptimizer::with_detection(
         }
         opt.candidates_.push_back(Candidate{name, costs.of(name)});
     }
-    opt.analytic_ = std::make_shared<AnalyticBenefit>(std::move(detect), candidates);
+    for (const std::vector<double>& row : detect) {
+        if (row.size() != candidates.size()) {
+            throw std::invalid_argument(
+                "PlacementOptimizer::with_detection: detection row width "
+                "differs from the candidate count");
+        }
+    }
+    opt.detect_ = std::move(detect);
     return opt;
 }
 
@@ -130,11 +115,24 @@ void PlacementOptimizer::ensure_ground_truth_lattice() {
     lattice_measured_ = true;
 }
 
+double PlacementOptimizer::analytic_coverage(const std::vector<std::size_t>& subset) {
+    ++evaluations_;
+    if (detect_.empty()) return 0.0;
+    double sum = 0.0;
+    for (const std::vector<double>& row : detect_) {
+        double miss = 1.0;
+        for (const std::size_t c : subset) {
+            miss *= 1.0 - row.at(c);
+        }
+        sum += 1.0 - miss;
+    }
+    return sum / static_cast<double>(detect_.size());
+}
+
 BenefitFn PlacementOptimizer::benefit_fn() {
-    if (analytic_) {
-        auto analytic = analytic_;
-        return [analytic](const std::vector<std::size_t>& subset) {
-            return analytic->coverage(subset);
+    if (!evaluator_) {
+        return [this](const std::vector<std::size_t>& subset) {
+            return analytic_coverage(subset);
         };
     }
     ensure_ground_truth_lattice();

@@ -1,22 +1,36 @@
 // PlacementOptimizer — the subsystem facade tying cost model, benefit
 // model and search together (DESIGN.md §8). Construct one of:
 //
-//  - analytic(pm, model):    benefits from the fast compositional
-//                            estimator over a permeability matrix;
+//  - with_detection(...):    analytic benefits from a precomputed
+//                            detection matrix D[site][candidate], the
+//                            probability that an EA at candidate c sees
+//                            an error born at site e. The analytic
+//                            engine fills D (analytic::make_engine_optimizer
+//                            is the factory; opt cannot link analytic);
 //  - ground_truth(options):  benefits measured by sharded fault-injection
 //                            campaigns, memoized on disk.
 //
-// and ask for a budgeted optimum (optimize), the full Pareto frontier
+// An analytic subset's coverage is the mean, over the error sites of the
+// chosen model, of the probability that at least one selected location
+// sees the error:
+//
+//   coverage(S) = mean_e [ 1 - prod_{c in S} (1 - D[e][c]) ]
+//
+// The independence assumption across locations mirrors the paper's own
+// caveat for impact (§8): the estimate is a ranking device for search,
+// to be confirmed by the campaign-backed ground truth.
+//
+// Ask for a budgeted optimum (optimize), the full Pareto frontier
 // (frontier), or a report validating the paper's placements against the
 // frontier (explain).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "epic/matrix.hpp"
-#include "opt/benefit.hpp"
+#include "model/system_model.hpp"
 #include "opt/evaluator.hpp"
 #include "opt/frontier.hpp"
 #include "opt/search.hpp"
@@ -36,23 +50,9 @@ struct ReferenceSet {
 
 class PlacementOptimizer {
 public:
-    /// Analytic benefits over `pm` for the EA-carrying signals of the
-    /// arrestment target. `pm` must outlive the optimizer.
-    [[nodiscard]] static PlacementOptimizer analytic(const epic::PermeabilityMatrix& pm,
-                                                     ErrorModel model);
-
-    /// Analytic benefits over `pm` for an explicit candidate list (used
-    /// for synthetic systems, where candidates come from
-    /// epic::ea_candidate_signals).
-    [[nodiscard]] static PlacementOptimizer analytic(
-        const epic::PermeabilityMatrix& pm, ErrorModel model,
-        const std::vector<model::SignalId>& candidates);
-
-    /// Benefits from a caller-precomputed detection matrix
-    /// D[site][candidate] (the analytic-engine mode: src/analytic builds
-    /// D from its fixpoint reach and injects it here, keeping opt free of
-    /// an analytic dependency). Every candidate must carry an EA cost
-    /// (no boolean signals).
+    /// Analytic benefits from a caller-precomputed detection matrix
+    /// D[site][candidate]; every row must have one column per candidate.
+    /// Every candidate must carry an EA cost (no boolean signals).
     [[nodiscard]] static PlacementOptimizer with_detection(
         const model::SystemModel& system,
         const std::vector<model::SignalId>& candidates,
@@ -94,6 +94,10 @@ public:
     /// ~40 % resource-saving claim rests on.
     [[nodiscard]] std::string explain(const Frontier& frontier) const;
 
+    /// Analytic coverage evaluations served so far (search-effort
+    /// metric; always 0 in ground-truth mode).
+    [[nodiscard]] std::size_t evaluations() const noexcept { return evaluations_; }
+
     /// Campaigns run so far (always 0 in analytic mode).
     [[nodiscard]] std::size_t campaigns_executed() const noexcept {
         return evaluator_ ? evaluator_->campaigns_executed() : 0;
@@ -107,10 +111,13 @@ private:
     /// subsequent benefit lookups are pure cache reads.
     void ensure_ground_truth_lattice();
     [[nodiscard]] BenefitFn benefit_fn();
+    /// Analytic coverage of a subset of candidate indices.
+    [[nodiscard]] double analytic_coverage(const std::vector<std::size_t>& subset);
 
     std::vector<Candidate> candidates_;
     StructuralHints hints_;
-    std::shared_ptr<AnalyticBenefit> analytic_;
+    std::vector<std::vector<double>> detect_;  // [site][candidate], analytic mode
+    std::size_t evaluations_ = 0;
     std::shared_ptr<CampaignEvaluator> evaluator_;
     /// canonical subset -> measured coverage (ground-truth mode).
     std::map<std::string, double> measured_;

@@ -15,8 +15,7 @@ namespace epea::opt {
 /// {"benefit":...,"coverage":...,"cost":{"memory":...,"time":...},
 ///  "error_model":...,"evaluations":...,"exact":...,"selected":[...]}
 /// plus the CLI's trailing newline. `selected` is the canonically sorted
-/// signal-name list, `benefit` the mode name
-/// (visibility|analytic|ground-truth).
+/// signal-name list, `benefit` the mode name (analytic|ground-truth).
 [[nodiscard]] std::string optimize_result_json(
     const SearchResult& result, const std::vector<Candidate>& candidates,
     ErrorModel model, const std::string& benefit_mode);

@@ -9,7 +9,7 @@
 //    fallback for monotone coverage objectives.
 //
 // Both take the benefit as an opaque function of candidate indices, so
-// they run identically against the analytic estimator and the
+// they run identically against the analytic (engine) benefit and the
 // campaign-backed ground-truth evaluator.
 #pragma once
 
@@ -35,8 +35,8 @@ using BenefitFn = std::function<double(const std::vector<std::size_t>&)>;
 /// candidate c's signal, so coverage of any subset S is bounded above by
 /// |union of S's witness sets| / site_count — a bound computable without
 /// a benefit evaluation. Sound only for benefit functions whose per-site
-/// detection support equals graph reachability (the analytic and
-/// visibility estimators; never attach for campaign ground truth).
+/// detection support equals graph reachability (the analytic engine
+/// benefit; never attach for campaign ground truth).
 struct StructuralHints {
     std::size_t site_count = 0;
     std::vector<std::vector<bool>> witnesses;  ///< [candidate][site]

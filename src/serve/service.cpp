@@ -223,10 +223,30 @@ util::JsonValue parse_body(const HttpRequest& req, const char* endpoint) {
     }
 }
 
+/// The string at `key`, or `fallback` when the field is absent; 400
+/// when the field holds another JSON type.
 std::string opt_string(const util::JsonValue& body, const char* key,
-                       const std::string& fallback) {
+                       const std::string& fallback, const char* endpoint) {
     const util::JsonValue* v = body.find(key);
-    return v ? v->as_string() : fallback;
+    if (v == nullptr) return fallback;
+    try {
+        return v->as_string();
+    } catch (const std::exception&) {
+        throw ServeError{400, endpoint, std::string("'") + key + "' must be a string"};
+    }
+}
+
+/// The number at `key`, or `fallback` when the field is absent; 400
+/// when the field holds another JSON type.
+double opt_number(const util::JsonValue& body, const char* key, double fallback,
+                  const char* endpoint) {
+    const util::JsonValue* v = body.find(key);
+    if (v == nullptr) return fallback;
+    try {
+        return v->as_double();
+    } catch (const std::exception&) {
+        throw ServeError{400, endpoint, std::string("'") + key + "' must be a number"};
+    }
 }
 
 /// Request-controlled sizing caps: an errant or hostile body must not
@@ -422,11 +442,11 @@ HttpResponse Service::handle_metrics() {
 
 HttpResponse Service::handle_predict(const HttpRequest& req) {
     const util::JsonValue body = parse_body(req, "predict");
-    const std::string sink_name = opt_string(body, "sink", "TOC2");
+    const std::string sink_name = opt_string(body, "sink", "TOC2", "predict");
     const model::SignalId sink = system_->signal_id(sink_name);
 
-    if (const util::JsonValue* source = body.find("source")) {
-        const std::string source_name = source->as_string();
+    if (body.find("source") != nullptr) {
+        const std::string source_name = opt_string(body, "source", "", "predict");
         const auto p = profile(system_->signal_id(source_name));
         return HttpResponse::json(
             200, analytic::predict_pair_json(source_name, sink_name,
@@ -453,23 +473,23 @@ HttpResponse Service::handle_predict(const HttpRequest& req) {
 
 HttpResponse Service::handle_optimize(const HttpRequest& req) {
     const util::JsonValue body = parse_body(req, "optimize");
-    const std::string benefit = opt_string(body, "benefit", "visibility");
-    const std::string error_model = opt_string(body, "error_model", "input");
-    if (benefit != "visibility" && benefit != "analytic" &&
-        benefit != "ground-truth") {
+    const std::string benefit = opt_string(body, "benefit", "analytic", "optimize");
+    const std::string error_model = opt_string(body, "error_model", "input", "optimize");
+    if (benefit != "analytic" && benefit != "ground-truth") {
         throw ServeError{400, "optimize",
-                         "unknown benefit '" + benefit +
-                             "' (visibility|analytic|ground-truth)"};
+                         "unknown benefit '" + benefit + "' (analytic|ground-truth)"};
     }
-    const opt::ErrorModel model = opt::error_model_from_string(error_model);
+    opt::ErrorModel model = opt::ErrorModel::kInput;
+    try {
+        model = opt::error_model_from_string(error_model);
+    } catch (const std::exception& e) {
+        throw ServeError{400, "optimize", e.what()};
+    }
 
     opt::SearchOptions search;
-    if (const util::JsonValue* b = body.find("budget_memory")) {
-        search.budget.memory = b->as_double();
-    }
-    if (const util::JsonValue* b = body.find("budget_time")) {
-        search.budget.time = b->as_double();
-    }
+    search.budget.memory =
+        opt_number(body, "budget_memory", search.budget.memory, "optimize");
+    search.budget.time = opt_number(body, "budget_time", search.budget.time, "optimize");
     opt::EvaluatorOptions gt;
     gt.model = model;
     gt.dir = options_.eval_dir;
@@ -514,10 +534,7 @@ HttpResponse Service::handle_optimize(const HttpRequest& req) {
             return opt::optimize_result_json(result, optimizer.candidates(), model,
                                              benefit);
         }
-        opt::PlacementOptimizer optimizer =
-            benefit == "analytic"
-                ? analytic::make_engine_optimizer(*pm_, model)
-                : opt::PlacementOptimizer::analytic(*pm_, model);
+        opt::PlacementOptimizer optimizer = analytic::make_engine_optimizer(*pm_, model);
         // Same certificate-derived pruning as the CLI, so responses stay
         // byte-identical to `epea_tool place optimize --json`.
         prove::attach_structural_hints(optimizer, *pm_, model);
@@ -555,9 +572,10 @@ HttpResponse Service::handle_lint(const HttpRequest& req) {
 
 HttpResponse Service::handle_campaign_submit(const HttpRequest& req) {
     const util::JsonValue body = parse_body(req, "campaign_submit");
-    const util::JsonValue* dir_field = body.find("dir");
-    if (!dir_field) throw ServeError{400, "campaign_submit", "missing 'dir'"};
-    const std::string raw_dir = dir_field->as_string();
+    if (body.find("dir") == nullptr) {
+        throw ServeError{400, "campaign_submit", "missing 'dir'"};
+    }
+    const std::string raw_dir = opt_string(body, "dir", "", "campaign_submit");
     if (raw_dir.empty()) throw ServeError{400, "campaign_submit", "empty 'dir'"};
     validate_campaign_dir(raw_dir);
     if (options_.eval_dir.empty()) {
@@ -576,7 +594,8 @@ HttpResponse Service::handle_campaign_submit(const HttpRequest& req) {
         }
     } else {
         spec = campaign::CampaignSpec::defaults(
-            campaign::campaign_kind_from_string(opt_string(body, "kind", "input")));
+            campaign::campaign_kind_from_string(
+                opt_string(body, "kind", "input", "campaign_submit")));
     }
     campaign::ExecutorOptions exec;
     exec.threads = 1;

@@ -14,6 +14,7 @@
 #include "analysis/model_lint.hpp"
 #include "analysis/placement_lint.hpp"
 #include "analysis/source_lint.hpp"
+#include "analytic/benefit.hpp"
 #include "campaign/checkpoint.hpp"
 #include "campaign/spec.hpp"
 #include "epic/serialize.hpp"
@@ -303,7 +304,7 @@ TEST_F(PlacementLint, PaSetIsFullyClean) {
 
 TEST_F(PlacementLint, GeneratedFrontierDotIsClean) {
     opt::PlacementOptimizer optimizer =
-        opt::PlacementOptimizer::analytic(paper(), opt::ErrorModel::kInput);
+        analytic::make_engine_optimizer(paper(), opt::ErrorModel::kInput);
     const opt::Frontier frontier = optimizer.frontier();
     std::ostringstream dot;
     opt::write_frontier_dot(dot, frontier, "test frontier");
@@ -324,7 +325,7 @@ TEST_F(PlacementLint, GeneratedFrontierDotIsClean) {
 
 TEST_F(PlacementLint, TamperedFrontierDotIsCaught) {
     opt::PlacementOptimizer optimizer =
-        opt::PlacementOptimizer::analytic(paper(), opt::ErrorModel::kInput);
+        analytic::make_engine_optimizer(paper(), opt::ErrorModel::kInput);
     const std::string dot =
         "graph frontier {\n"
         "  p0 [pos=\"0,0!\"];\n"

@@ -14,10 +14,10 @@
 #include "analytic/delta.hpp"
 #include "analytic/engine.hpp"
 #include "analytic/validate.hpp"
+#include "epic/impact.hpp"
 #include "epic/measures.hpp"
 #include "epic/serialize.hpp"
 #include "exp/paper_data.hpp"
-#include "opt/benefit.hpp"
 #include "synth/generator.hpp"
 #include "target/arrestment_system.hpp"
 
@@ -121,7 +121,7 @@ TEST(AnalyticEngine, CycleFixpointHasClosedForm) {
     EXPECT_TRUE(engine.reach(m.signal_id("in")).converged);
     // Simple-path enumeration cannot walk the cycle, so it sees only the
     // direct path (0.5) — the fixpoint counts the feedback reinforcement.
-    EXPECT_GT(vx, opt::visibility(pm, m.signal_id("in"), m.signal_id("x")));
+    EXPECT_GT(vx, epic::impact(pm, m.signal_id("in"), m.signal_id("x")));
 }
 
 TEST(AnalyticEngine, IterationCapIsReported) {

@@ -6,8 +6,10 @@
 // require; the small-scale lane mechanics are covered by batch_test.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "campaign/executor.hpp"
 #include "epic/serialize.hpp"
@@ -197,6 +199,50 @@ campaign::CampaignExecutor run_campaign(const std::string& dir,
     return exec;
 }
 
+/// Every merged count of a finished campaign of any kind as text, so
+/// runs compare with one EXPECT_EQ.
+std::string merged_digest(const campaign::CampaignExecutor& exec) {
+    static const model::SystemModel system = target::make_arrestment_model();
+    std::ostringstream out;
+    switch (exec.spec().kind) {
+        case campaign::CampaignKind::kPermeability:
+            return matrix_csv(exec.merged_matrix(system));
+        case campaign::CampaignKind::kSevere: {
+            const exp::SevereCoverageResult r = exec.merged_severe();
+            out << r.runs << ' ' << r.failures << '\n';
+            for (const exp::SevereSetResult& set : r.sets) {
+                out << set.set_name;
+                for (const auto& region : set.cells) {
+                    for (const exp::SevereCell& cell : region) {
+                        out << ' ' << cell.detected << '/' << cell.n;
+                    }
+                }
+                out << '\n';
+            }
+            break;
+        }
+        case campaign::CampaignKind::kRecovery: {
+            const exp::RecoveryResult r = exec.merged_recovery();
+            out << r.runs << ' ' << r.failures_baseline << ' ' << r.failures_with_erm
+                << ' ' << r.repairs << '\n';
+            break;
+        }
+        case campaign::CampaignKind::kInput: {
+            exp::InputCoverageResult r = exec.merged_input();
+            r.rows.push_back(r.all);
+            for (const exp::InputCoverageRow& row : r.rows) {
+                out << row.signal << ' ' << row.injected << ' ' << row.active << ' '
+                    << row.detected_any;
+                for (const std::uint64_t d : row.detected_per_ea) out << ' ' << d;
+                for (const std::uint64_t d : row.detected_per_subset) out << ' ' << d;
+                out << '\n';
+            }
+            break;
+        }
+    }
+    return out.str();
+}
+
 TEST(FastpathEquivalence, CampaignExecutorMergedResultsBitIdentical) {
     TempDir tmp("campaign");
     static const model::SystemModel system = target::make_arrestment_model();
@@ -238,17 +284,21 @@ TEST(FastpathEquivalence, CampaignExecutorMergedResultsBitIdentical) {
 
 TEST(FastpathEquivalence, CampaignExecutorMatchesReplayAtAnyThreadCount) {
     TempDir tmp("campaign_threads");
-    static const model::SystemModel system = target::make_arrestment_model();
-
-    const auto replay = run_campaign((tmp.path / "replay").string(),
-                                     campaign::CampaignKind::kPermeability, false, 1);
-    const std::string expected = matrix_csv(replay.merged_matrix(system));
-    for (const std::size_t threads : {1U, 2U, 4U, 8U}) {
-        const auto batch =
-            run_campaign((tmp.path / ("batch-t" + std::to_string(threads))).string(),
-                         campaign::CampaignKind::kPermeability, true, threads);
-        EXPECT_EQ(matrix_csv(batch.merged_matrix(system)), expected)
-            << threads << " threads";
+    for (const campaign::CampaignKind kind :
+         {campaign::CampaignKind::kPermeability, campaign::CampaignKind::kInput,
+          campaign::CampaignKind::kSevere, campaign::CampaignKind::kRecovery}) {
+        const std::string name = campaign::to_string(kind);
+        const auto replay =
+            run_campaign((tmp.path / (name + "-replay")).string(), kind, false, 1);
+        const std::string expected = merged_digest(replay);
+        ASSERT_FALSE(expected.empty()) << name;
+        for (const std::size_t threads : {1U, 2U, 4U, 8U}) {
+            const auto batch = run_campaign(
+                (tmp.path / (name + "-batch-t" + std::to_string(threads))).string(),
+                kind, true, threads);
+            EXPECT_EQ(merged_digest(batch), expected)
+                << name << ", " << threads << " threads";
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "analytic/benefit.hpp"
 #include "campaign/json.hpp"
 #include "exp/paper_data.hpp"
 #include "opt/frontier.hpp"
@@ -112,8 +113,7 @@ struct AnalyticFrontierFixture {
     epic::PermeabilityMatrix pm = exp::paper_matrix(system);
 
     opt::Frontier run(opt::ErrorModel model) {
-        opt::PlacementOptimizer optimizer =
-            opt::PlacementOptimizer::analytic(pm, model);
+        opt::PlacementOptimizer optimizer = analytic::make_engine_optimizer(pm, model);
         return optimizer.frontier();
     }
 
@@ -162,7 +162,7 @@ TEST(OptPaperClaims, C2C3ExtendedSetDominatesPaUnderSevereModel) {
 TEST(OptPaperClaims, ExplainReportsBothSets) {
     AnalyticFrontierFixture fx;
     opt::PlacementOptimizer optimizer =
-        opt::PlacementOptimizer::analytic(fx.pm, opt::ErrorModel::kInput);
+        analytic::make_engine_optimizer(fx.pm, opt::ErrorModel::kInput);
     const opt::Frontier f = optimizer.frontier();
     const std::string report = optimizer.explain(f);
     EXPECT_NE(report.find("EH-set"), std::string::npos);

@@ -7,10 +7,11 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "analytic/benefit.hpp"
+#include "epic/impact.hpp"
 #include "epic/placement.hpp"
 #include "exp/arrestment_experiments.hpp"
 #include "exp/paper_data.hpp"
-#include "opt/benefit.hpp"
 #include "opt/cost.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/search.hpp"
@@ -160,7 +161,7 @@ TEST(OptSearch, GreedyHandlesThirtySignalSyntheticModelFast) {
         epic::ea_candidate_signals(*sys.system, /*veto_boolean=*/true);
     ASSERT_GE(candidates.size(), 30U);
 
-    opt::PlacementOptimizer optimizer = opt::PlacementOptimizer::analytic(
+    opt::PlacementOptimizer optimizer = analytic::make_engine_optimizer(
         sys.matrix, opt::ErrorModel::kInput, candidates);
     ASSERT_GT(optimizer.candidates().size(), 20U);  // exact regime refused...
     EXPECT_THROW((void)opt::branch_and_bound(
@@ -187,40 +188,39 @@ TEST(OptSearch, GreedyHandlesThirtySignalSyntheticModelFast) {
 TEST(OptBenefit, VisibilityReachesIntermediateSignals) {
     const model::SystemModel system = target::make_arrestment_model();
     const epic::PermeabilityMatrix pm = exp::paper_matrix(system);
+    const model::SignalId pacnt = system.signal_id("PACNT");
+    const model::SignalId pulscnt = system.signal_id("pulscnt");
 
     // pulscnt is computed directly from PACNT — an EA there must see
-    // input errors (impact() scores it 0 because paths pass through).
-    const double v = opt::visibility(pm, system.signal_id("PACNT"),
-                                     system.signal_id("pulscnt"));
+    // input errors, although every path from PACNT continues past it.
+    const double v = epic::impact(pm, pacnt, pulscnt);
     EXPECT_GT(v, 0.5);
     // Degenerate and unreachable cases.
-    EXPECT_DOUBLE_EQ(
-        opt::visibility(pm, system.signal_id("PACNT"), system.signal_id("PACNT")),
-        1.0);
-    EXPECT_DOUBLE_EQ(
-        opt::visibility(pm, system.signal_id("TOC2"), system.signal_id("PACNT")),
-        0.0);
+    EXPECT_DOUBLE_EQ(epic::impact(pm, pacnt, pacnt), 1.0);
+    EXPECT_DOUBLE_EQ(epic::impact(pm, system.signal_id("TOC2"), pacnt), 0.0);
+    // The engine benefit's detection matrix sees the same error there.
+    const analytic::Engine engine(pm);
+    const std::vector<std::vector<double>> detect =
+        analytic::detection_matrix(engine, opt::ErrorModel::kSevere, {pulscnt});
+    EXPECT_NEAR(detect.at(pacnt.index()).at(0), v, 1e-3);
 }
 
 TEST(OptBenefit, CoverageIsMonotoneInTheSubset) {
     const model::SystemModel system = target::make_arrestment_model();
     const epic::PermeabilityMatrix pm = exp::paper_matrix(system);
-    std::vector<model::SignalId> candidates;
-    for (const auto& [ea, sig] : exp::arrestment_ea_signals()) {
-        candidates.push_back(system.signal_id(sig));
-    }
-    const opt::AnalyticBenefit benefit(pm, opt::ErrorModel::kInput, candidates);
+    opt::PlacementOptimizer optimizer =
+        analytic::make_engine_optimizer(pm, opt::ErrorModel::kInput);
 
     double prev = 0.0;
-    std::vector<std::size_t> subset;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        subset.push_back(i);
-        const double cov = benefit.coverage(subset);
+    std::vector<std::string> subset;
+    for (const opt::Candidate& candidate : optimizer.candidates()) {
+        subset.push_back(candidate.name);
+        const double cov = optimizer.coverage(subset);
         EXPECT_GE(cov, prev - 1e-12);
         EXPECT_LE(cov, 1.0 + 1e-12);
         prev = cov;
     }
-    EXPECT_EQ(benefit.evaluations(), candidates.size());
+    EXPECT_EQ(optimizer.evaluations(), optimizer.candidates().size());
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -168,12 +170,11 @@ TEST_F(ServeTest, PredictProfileByteIdenticalToCli) {
     EXPECT_EQ(r.body, cli);
 }
 
-TEST_F(ServeTest, OptimizeVisibilityByteIdenticalToCli) {
-    const std::string cli =
-        run_cli("place optimize --error-model input --benefit visibility --json");
+TEST_F(ServeTest, OptimizeDefaultBenefitByteIdenticalToCli) {
+    const std::string cli = run_cli("place optimize --error-model input --json");
     ASSERT_FALSE(cli.empty());
-    const serve::ClientResponse r = client_->post(
-        "/v1/place/optimize", R"({"benefit":"visibility","error_model":"input"})");
+    const serve::ClientResponse r =
+        client_->post("/v1/place/optimize", R"({"error_model":"input"})");
     ASSERT_EQ(r.status, 200);
     EXPECT_EQ(r.body, cli);
 }
@@ -246,16 +247,24 @@ TEST_F(ServeTest, GroundTruthWithoutEvalDirIs503) {
 }
 
 TEST_F(ServeTest, OptimizeRejectsNonPositiveSizing) {
-    // Negative/zero sizing must 400, never wrap around to a huge size_t.
-    for (const char* body :
-         {R"({"benefit":"visibility","cases":0})",
-          R"({"benefit":"visibility","cases":-1})",
-          R"({"benefit":"visibility","times":-3})",
-          R"({"benefit":"visibility","times":1000000000})",
-          R"({"benefit":"visibility","cases":"lots"})"}) {
-        const serve::ClientResponse r = client_->post("/v1/place/optimize", body);
-        EXPECT_EQ(r.status, 400) << body;
-        EXPECT_EQ(error_rule(r.body), "SERVE-E400") << body;
+    // Negative/zero sizing must 400, never wrap around to a huge size_t;
+    // so must wrongly typed fields and unknown benefit modes.
+    for (const auto& [path, body] :
+         std::vector<std::pair<const char*, const char*>>{
+             {"/v1/place/optimize", R"({"cases":0})"},
+             {"/v1/place/optimize", R"({"cases":-1})"},
+             {"/v1/place/optimize", R"({"times":-3})"},
+             {"/v1/place/optimize", R"({"times":1000000000})"},
+             {"/v1/place/optimize", R"({"cases":"lots"})"},
+             {"/v1/place/optimize", R"({"benefit":5})"},
+             {"/v1/place/optimize", R"({"benefit":"visibility"})"},
+             {"/v1/place/optimize", R"({"budget_memory":"lots"})"},
+             {"/v1/place/optimize", R"({"error_model":7})"},
+             {"/v1/place/optimize", R"({"error_model":"bogus"})"},
+             {"/v1/analytic/predict", R"({"sink":3})"}}) {
+        const serve::ClientResponse r = client_->post(path, body);
+        EXPECT_EQ(r.status, 400) << path << ' ' << body;
+        EXPECT_EQ(error_rule(r.body), "SERVE-E400") << path << ' ' << body;
     }
 }
 

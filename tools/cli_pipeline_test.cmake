@@ -48,3 +48,35 @@ execute_process(COMMAND ${TOOL} estimate --cases
 if(NOT rc6 EQUAL 2)
   message(FATAL_ERROR "flag missing its value should exit 2, got ${rc6}")
 endif()
+
+# The committed frontier export is what `place frontier` writes today:
+# the default analytic benefit reproduces frontier_placement_input.dot
+# byte for byte (bench/frontier_placement writes the same file).
+execute_process(COMMAND ${TOOL} place frontier --error-model input
+                        --out-prefix ${WORKDIR}/cli_frontier
+                RESULT_VARIABLE rc7 ERROR_VARIABLE err7)
+if(NOT rc7 EQUAL 0)
+  message(FATAL_ERROR "place frontier failed: rc=${rc7} ${err7}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORKDIR}/cli_frontier.dot
+                        ${SRCDIR}/frontier_placement_input.dot
+                RESULT_VARIABLE rc8)
+if(NOT rc8 EQUAL 0)
+  message(FATAL_ERROR "place frontier DOT differs from the committed "
+                      "frontier_placement_input.dot; regenerate it with "
+                      "bench/frontier_placement")
+endif()
+
+# Two benefit modes only: the deleted visibility mode and the old
+# --ground-truth shorthand are rejected.
+execute_process(COMMAND ${TOOL} place optimize --benefit visibility
+                RESULT_VARIABLE rc9 ERROR_VARIABLE err9)
+if(rc9 EQUAL 0 OR NOT err9 MATCHES "analytic\\|ground-truth")
+  message(FATAL_ERROR "--benefit visibility should fail: rc=${rc9} ${err9}")
+endif()
+execute_process(COMMAND ${TOOL} place optimize --ground-truth
+                RESULT_VARIABLE rc10 ERROR_QUIET)
+if(NOT rc10 EQUAL 2)
+  message(FATAL_ERROR "--ground-truth should be an unknown flag, got ${rc10}")
+endif()

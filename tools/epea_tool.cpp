@@ -17,9 +17,9 @@
 // campaign runs once and the analysis can be repeated offline. The
 // `campaign` subcommands manage a campaign directory (spec.json, shard
 // checkpoints, events.jsonl) that survives kills and resumes. `place`
-// runs the src/opt/ placement optimizer — the visibility heuristic by
-// default, the analytic engine with --benefit analytic, campaign-backed
-// with --ground-truth (memoized under --dir). `analytic` answers
+// runs the src/opt/ placement optimizer — benefits from the analytic
+// engine by default, campaign-backed with --benefit ground-truth
+// (memoized under --dir). `analytic` answers
 // permeability/exposure queries from a measured matrix without running
 // a campaign, plans minimal delta campaigns after a model edit, and
 // validates the engine against enumeration and campaign ground truth.
@@ -116,14 +116,15 @@ int usage() {
                  "  obs metrics DIR                print DIR metrics as Prometheus text\n"
                  "  obs report DIR [--json] [--top N]  phase/critical-path report\n"
                  "  place optimize [--error-model input|severe]\n"
-                 "                 [--benefit visibility|analytic|ground-truth]\n"
+                 "                 [--benefit analytic|ground-truth] [--dir DIR]\n"
                  "                 [--budget-memory B] [--json] [--no-prune]\n"
-                 "                 [--budget-time T] [--ground-truth --dir DIR]\n"
+                 "                 [--budget-time T]\n"
                  "                 [--cases N] [--times M] [--shards S] [--threads T]\n"
                  "                 [--no-batch]\n"
                  "                 [--trace-out FILE] [--metrics-out FILE]\n"
                  "  place frontier [--error-model M] [--out-prefix PATH]\n"
-                 "                 [--ground-truth --dir DIR] [--cases N] [--times M]\n"
+                 "                 [--benefit analytic|ground-truth] [--dir DIR]\n"
+                 "                 [--cases N] [--times M]\n"
                  "                 [--shards S] [--threads T]\n"
                  "  place explain  [same options as frontier]\n"
                  "  check <arrestment|tank|FILE.sys> [--matrix FILE]\n"
@@ -592,17 +593,15 @@ int cmd_campaign(const std::vector<std::string>& args) {
 }
 
 /// Builds the optimizer requested by the `place` flags: --benefit
-/// visibility (default; simple-path enumeration), analytic (the
-/// propagation engine's fixpoint reach), or ground-truth (campaign-
-/// backed; --ground-truth is a shorthand). The permeability matrix
-/// backing the matrix-driven modes must outlive the optimizer, hence
+/// analytic (default; the propagation engine's fixpoint reach) or
+/// ground-truth (campaign-backed, memoized under --dir). The permeability
+/// matrix backing the analytic mode must outlive the optimizer, hence
 /// the out-parameter holder.
 opt::PlacementOptimizer make_place_optimizer(
     const std::vector<std::string>& args, opt::ErrorModel model,
     std::unique_ptr<epic::PermeabilityMatrix>& pm_holder,
     const model::SystemModel& system, std::string& mode_out) {
-    const std::string benefit = flag_value(args, "--benefit")
-        .value_or(has_flag(args, "--ground-truth") ? "ground-truth" : "visibility");
+    const std::string benefit = flag_value(args, "--benefit").value_or("analytic");
     if (benefit == "ground-truth") {
         const auto dir = flag_value(args, "--dir");
         if (!dir) {
@@ -628,17 +627,13 @@ opt::PlacementOptimizer make_place_optimizer(
         mode_out = "ground-truth";
         return opt::PlacementOptimizer::ground_truth(std::move(options));
     }
-    pm_holder = std::make_unique<epic::PermeabilityMatrix>(exp::paper_matrix(system));
-    if (benefit == "analytic") {
-        mode_out = "analytic";
-        return analytic::make_engine_optimizer(*pm_holder, model);
-    }
-    if (benefit != "visibility") {
+    if (benefit != "analytic") {
         throw std::invalid_argument("unknown --benefit '" + benefit +
-                                    "' (visibility|analytic|ground-truth)");
+                                    "' (analytic|ground-truth)");
     }
-    mode_out = "visibility";
-    return opt::PlacementOptimizer::analytic(*pm_holder, model);
+    pm_holder = std::make_unique<epic::PermeabilityMatrix>(exp::paper_matrix(system));
+    mode_out = "analytic";
+    return analytic::make_engine_optimizer(*pm_holder, model);
 }
 
 int cmd_place(const std::vector<std::string>& args) {
@@ -650,8 +645,7 @@ int cmd_place(const std::vector<std::string>& args) {
                   {"--error-model", "--benefit", "--budget-memory", "--budget-time",
                    "--dir", "--cases", "--times", "--shards", "--threads",
                    "--out-prefix", "--trace-out", "--metrics-out"},
-                  {"--ground-truth", "--verbose", "--no-batch", "--json",
-                   "--no-prune"})) {
+                  {"--verbose", "--no-batch", "--json", "--no-prune"})) {
         return usage();
     }
 
@@ -1363,7 +1357,7 @@ int cmd_lint(const std::vector<std::string>& args) {
                 return 1;
             }
             const opt::PlacementOptimizer optimizer =
-                opt::PlacementOptimizer::analytic(*pm, opt::ErrorModel::kInput);
+                analytic::make_engine_optimizer(*pm, opt::ErrorModel::kInput);
             std::vector<std::string> labels;
             for (const opt::ReferenceSet& set : opt::arrestment_reference_sets()) {
                 labels.push_back(set.label);
