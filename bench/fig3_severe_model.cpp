@@ -2,12 +2,13 @@
 // bit flips injected periodically (20 ms) into the RAM and stack areas of
 // the modules, 25 test cases (paper: 200 locations x 25 cases = 5000
 // runs). Shows c_tot / c_fail / c_nofail for the EH-set and the PA-set
-// over RAM, stack and all locations. --trace-out/--metrics-out export the
-// run's spans and metric delta.
+// over RAM, stack and all locations. The campaign runs sharded through
+// the campaign executor, in memory; --campaign-dir DIR adds checkpoints
+// there. --trace-out/--metrics-out export the run's spans and metric
+// delta.
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/executor.hpp"
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
     }
 
     target::ArrestmentSystem sys;
-    exp::CampaignOptions options = exp::CampaignOptions::from_env();
+    const exp::CampaignOptions options = exp::CampaignOptions::from_env();
 
     obs::ArgvRecorder obs_rec(args, "bench fig3_severe_model", EPEA_VERSION);
     obs_rec.manifest().config.emplace("cases", util::JsonValue(options.case_count));
@@ -40,39 +41,23 @@ int main(int argc, char** argv) {
                                       util::JsonValue(options.severe_period));
     obs_rec.manifest().fastpath = options.use_batch;
 
-    const std::vector<exp::SubsetSpec> subsets = {
-        {"EH-set", {"EA1", "EA2", "EA3", "EA4", "EA5", "EA6", "EA7"}},
-        {"PA-set", {"EA1", "EA3", "EA4", "EA7"}},
-    };
-
     std::printf("Fig 3 — coverage under the severe error model\n");
     std::printf("Periodic bit flips (period %u ms) into module RAM and stack words\n\n",
                 options.severe_period);
 
-    fi::FastPathStats fastpath;
-    exp::SevereCoverageResult result;
-    if (campaign_dir.empty()) {
-        options.fastpath_out = &fastpath;
-        result = exp::severe_coverage_experiment(sys, options, subsets);
-        fi::add_fastpath_metrics(fastpath);
-    } else {
-        // Sharded, checkpointed and resumable; bit-identical to the
-        // in-process run (streams are keyed by global case index).
-        campaign::CampaignSpec spec =
-            campaign::CampaignSpec::defaults(campaign::CampaignKind::kSevere);
-        spec.case_ids.resize(options.case_count);
-        spec.subsets = subsets;
-        campaign::CampaignExecutor exec(campaign_dir, std::move(spec));
-        campaign::ExecutorOptions eopt;
-        eopt.threads = std::max(1u, std::thread::hardware_concurrency());
-        exec.run(eopt);
-        result = exec.merged_severe();
-        fastpath = exec.fastpath_totals();
-        obs_rec.manifest().threads = eopt.threads;
+    // The spec's default subsets are the EH-set and the PA-set. Counts are
+    // bit-identical to the sequential driver at any thread count: streams
+    // are keyed by global case index.
+    campaign::CampaignExecutor exec(
+        campaign_dir,
+        campaign::CampaignSpec::from_options(campaign::CampaignKind::kSevere, options));
+    exec.run();
+    const exp::SevereCoverageResult result = exec.merged_severe();
+    obs_rec.manifest().fastpath_stats = fi::fastpath_stats_json(exec.fastpath_totals());
+    if (!campaign_dir.empty()) {
         std::printf("Campaign directory: %s (%zu shards)\n\n", campaign_dir.c_str(),
                     exec.completed().size());
     }
-    obs_rec.manifest().fastpath_stats = fi::fastpath_stats_json(fastpath);
 
     std::printf("Injectable locations: %zu RAM bytes, %zu stack bytes "
                 "(paper: 150 RAM + 50 stack)\n",

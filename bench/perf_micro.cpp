@@ -52,7 +52,6 @@
 #include "epic/paths.hpp"
 #include "exp/arrestment_experiments.hpp"
 #include "exp/paper_data.hpp"
-#include "exp/parallel.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/golden.hpp"
 #include "obs/manifest.hpp"
@@ -214,16 +213,20 @@ struct CampaignTiming {
 CampaignTiming time_permeability_campaign(
     const exp::CampaignOptions& base, bool batch,
     std::vector<epic::PairEntry>* entries_out = nullptr) {
-    exp::CampaignOptions options = base;
-    options.use_batch = batch;
+    static const model::SystemModel system = target::make_arrestment_model();
     CampaignTiming t;
-    options.fastpath_out = &t.stats;
     const auto t0 = std::chrono::steady_clock::now();
-    const epic::PermeabilityMatrix pm =
-        exp::estimate_arrestment_permeability_parallel(options);
+    campaign::CampaignExecutor executor(
+        "", campaign::CampaignSpec::from_options(campaign::CampaignKind::kPermeability,
+                                                 base));
+    campaign::ExecutorOptions options;
+    options.use_batch = batch;
+    executor.run(options);
+    const epic::PermeabilityMatrix pm = executor.merged_matrix(system);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(&pm);
     t.wall_s = std::chrono::duration<double>(t1 - t0).count();
+    t.stats = executor.fastpath_totals();
     t.runs = static_cast<std::size_t>(t.stats.runs());
     if (entries_out) *entries_out = pm.entries();
     return t;
@@ -398,7 +401,8 @@ int write_obs_json(const std::string& path) {
                      "on %.3fs cpu (%.3fs wall)\n",
                      r + 1, o.cpu_s, o.t.wall_s, i.cpu_s, i.t.wall_s);
     }
-    fi::add_fastpath_metrics(on.t.stats);
+    // Every campaign records its own fi.* counters per shard, so the
+    // delta spans all arms and reps of the window.
     const obs::MetricsSnapshot delta =
         obs::MetricsSnapshot::diff(before, obs::MetricsRegistry::global().snapshot());
     tracer.set_enabled(false);

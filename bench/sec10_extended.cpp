@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "campaign/executor.hpp"
 #include "epic/placement.hpp"
 #include "exp/arrestment_experiments.hpp"
 #include "exp/paper_data.hpp"
@@ -48,14 +49,12 @@ int main() {
     std::printf("  (paper: equals the EH-set on this target)\n\n");
 
     // Severe-model coverage with all three sets.
-    const exp::CampaignOptions options = exp::CampaignOptions::from_env();
-    const std::vector<exp::SubsetSpec> subsets = {
-        {"EH-set", {"EA1", "EA2", "EA3", "EA4", "EA5", "EA6", "EA7"}},
-        {"PA-set", {"EA1", "EA3", "EA4", "EA7"}},
-        {"EXT-set", ext_eas},
-    };
-    const exp::SevereCoverageResult result =
-        exp::severe_coverage_experiment(sys, options, subsets);
+    campaign::CampaignSpec spec = campaign::CampaignSpec::from_options(
+        campaign::CampaignKind::kSevere, exp::CampaignOptions::from_env());
+    spec.subsets.push_back({"EXT-set", ext_eas});  // after the EH- and PA-set
+    campaign::CampaignExecutor exec("", std::move(spec));
+    exec.run();
+    const exp::SevereCoverageResult result = exec.merged_severe();
 
     TextTable cov({"Set", "c_tot RAM", "c_tot stack", "c_tot total"},
                   {Align::kLeft, Align::kRight, Align::kRight, Align::kRight});

@@ -3,20 +3,18 @@
 // next to the paper's published values.
 //
 // Full scale: 25 test cases x 10 injection moments per bit (~40k runs).
-// Scale down with EPEA_CASES / EPEA_TIMES. With --campaign-dir DIR the
-// campaign runs sharded and checkpointed through the campaign executor
-// (kill + rerun resumes; counts are bit-identical to the in-process run).
+// Scale down with EPEA_CASES / EPEA_TIMES. The campaign runs sharded
+// through the campaign executor, in memory; --campaign-dir DIR adds
+// checkpoints there (kill + rerun resumes with identical counts).
 // --trace-out/--metrics-out export the run's spans and metric delta.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/executor.hpp"
 #include "exp/arrestment_experiments.hpp"
-#include "exp/parallel.hpp"
 #include "exp/paper_data.hpp"
 #include "fi/fastpath.hpp"
 #include "obs/manifest.hpp"
@@ -36,7 +34,7 @@ int main(int argc, char** argv) {
     }
 
     target::ArrestmentSystem sys;
-    exp::CampaignOptions options = exp::CampaignOptions::from_env();
+    const exp::CampaignOptions options = exp::CampaignOptions::from_env();
 
     obs::ArgvRecorder obs_rec(args, "bench table1_permeability", EPEA_VERSION);
     obs_rec.manifest().config.emplace("cases", util::JsonValue(options.case_count));
@@ -49,28 +47,16 @@ int main(int argc, char** argv) {
     std::printf("Campaign: %zu test cases, %zu injection moments per bit\n\n",
                 options.case_count, options.times_per_bit);
 
-    fi::FastPathStats fastpath;
-    epic::PermeabilityMatrix measured(sys.system());
-    if (campaign_dir.empty()) {
-        options.fastpath_out = &fastpath;
-        measured = exp::estimate_arrestment_permeability_parallel(options);
-        fi::add_fastpath_metrics(fastpath);
-    } else {
-        campaign::CampaignSpec spec =
-            campaign::CampaignSpec::defaults(campaign::CampaignKind::kPermeability);
-        spec.case_ids.resize(options.case_count);
-        spec.times_per_bit = options.times_per_bit;
-        campaign::CampaignExecutor exec(campaign_dir, std::move(spec));
-        campaign::ExecutorOptions eopt;
-        eopt.threads = std::max(1u, std::thread::hardware_concurrency());
-        exec.run(eopt);
-        measured = exec.merged_matrix(sys.system());
-        fastpath = exec.fastpath_totals();
-        obs_rec.manifest().threads = eopt.threads;
+    campaign::CampaignExecutor exec(
+        campaign_dir, campaign::CampaignSpec::from_options(
+                          campaign::CampaignKind::kPermeability, options));
+    exec.run();
+    const epic::PermeabilityMatrix measured = exec.merged_matrix(sys.system());
+    obs_rec.manifest().fastpath_stats = fi::fastpath_stats_json(exec.fastpath_totals());
+    if (!campaign_dir.empty()) {
         std::printf("Campaign directory: %s (%zu shards)\n\n", campaign_dir.c_str(),
                     exec.completed().size());
     }
-    obs_rec.manifest().fastpath_stats = fi::fastpath_stats_json(fastpath);
 
     const epic::PermeabilityMatrix paper = exp::paper_matrix(sys.system());
     const auto& system = sys.system();

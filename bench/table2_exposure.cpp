@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "campaign/executor.hpp"
 #include "epic/measures.hpp"
 #include "epic/placement.hpp"
 #include "exp/arrestment_experiments.hpp"
-#include "exp/parallel.hpp"
 #include "exp/paper_data.hpp"
 #include "util/table.hpp"
 
@@ -54,8 +54,11 @@ int main() {
     const exp::CampaignOptions options = exp::CampaignOptions::from_env();
     std::printf("Running permeability campaign (%zu cases x %zu times/bit)...\n",
                 options.case_count, options.times_per_bit);
-    const epic::PermeabilityMatrix measured =
-        exp::estimate_arrestment_permeability_parallel(options);
+    campaign::CampaignExecutor exec(
+        "", campaign::CampaignSpec::from_options(campaign::CampaignKind::kPermeability,
+                                                 options));
+    exec.run();
+    const epic::PermeabilityMatrix measured = exec.merged_matrix(system);
     print_report(system, measured, "Table 2 (from the measured matrix)");
 
     // PA-set summary.

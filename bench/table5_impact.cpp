@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "campaign/executor.hpp"
 #include "epic/impact.hpp"
 #include "epic/measures.hpp"
 #include "exp/arrestment_experiments.hpp"
-#include "exp/parallel.hpp"
 #include "exp/paper_data.hpp"
 #include "util/table.hpp"
 
@@ -47,8 +47,11 @@ int main() {
     const exp::CampaignOptions options = exp::CampaignOptions::from_env();
     std::printf("Running permeability campaign (%zu cases x %zu times/bit)...\n",
                 options.case_count, options.times_per_bit);
-    const epic::PermeabilityMatrix measured =
-        exp::estimate_arrestment_permeability_parallel(options);
+    campaign::CampaignExecutor exec(
+        "", campaign::CampaignSpec::from_options(campaign::CampaignKind::kPermeability,
+                                                 options));
+    exec.run();
+    const epic::PermeabilityMatrix measured = exec.merged_matrix(system);
     print_table(system, measured, "Table 5 (from the measured matrix)");
 
     std::printf("Paper impact reference:");

@@ -116,7 +116,8 @@ std::string read_file(const std::string& path) {
 /// once per process, so resumed checkpoints loaded by several executor
 /// instances (run, then resume, then status) never double-count. One CLI
 /// invocation is one process, so resumed + freshly executed shards sum
-/// to the whole campaign.
+/// to the whole campaign. In-memory shards are never reloaded, so they
+/// skip the claim: each is recorded exactly once, when it completes.
 bool claim_shard_metrics(const std::string& dir, std::size_t shard) {
     static std::mutex mutex;
     static std::set<std::pair<std::string, std::size_t>> claimed;
@@ -128,7 +129,7 @@ bool claim_shard_metrics(const std::string& dir, std::size_t shard) {
 /// completed (or resumed) shard, from its checkpointed totals — the
 /// counters therefore match the checkpoints bit-exactly.
 void record_shard_metrics(const std::string& dir, const ShardResult& result) {
-    if (!claim_shard_metrics(dir, result.shard)) return;
+    if (!dir.empty() && !claim_shard_metrics(dir, result.shard)) return;
     fi::add_fastpath_metrics(result.fastpath);
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("campaign.shard.runs").add(result.runs);
@@ -157,6 +158,7 @@ CampaignExecutor::CampaignExecutor(std::string dir, CampaignSpec spec)
         }
     }
 
+    if (dir_.empty()) return;  // in memory: nothing to persist or resume
     std::filesystem::create_directories(dir_);
     const std::string spec_path = dir_ + "/spec.json";
     const std::string serialized = spec_.to_json() + "\n";
@@ -174,6 +176,7 @@ CampaignExecutor::CampaignExecutor(std::string dir, CampaignSpec spec)
 }
 
 CampaignExecutor CampaignExecutor::open(const std::string& dir) {
+    if (dir.empty()) throw std::runtime_error("campaign: open() needs a directory");
     const std::string text = read_file(dir + "/spec.json");
     if (text.empty()) {
         throw std::runtime_error("campaign: no readable spec at " + dir +
@@ -308,6 +311,8 @@ ShardResult CampaignExecutor::run_shard(std::size_t shard,
 }
 
 void CampaignExecutor::load_checkpoints(CampaignObserver& observer) {
+    // In memory, completed_ already holds exactly this executor's shards.
+    if (dir_.empty()) return;
     completed_.clear();
     for (std::size_t s = 0; s < spec_.effective_shards(); ++s) {
         if (auto shard = load_shard(dir_, s)) {
@@ -430,7 +435,7 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
         // stops before they go out of scope.
         std::vector<obs::WorkerProgress> progress(n_workers);
         obs::TimelineOptions tl_options;
-        tl_options.path = dir_ + "/timeline.jsonl";
+        if (!dir_.empty()) tl_options.path = dir_ + "/timeline.jsonl";
         tl_options.interval_ms = options.timeline_interval_ms;
         tl_options.stall_samples = options.timeline_stall_samples;
         obs::TimelineSampler sampler(
@@ -453,7 +458,7 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
                 ShardResult result = run_shard(shard, options, cache, &prog);
                 result.threads = n_workers;
                 prog.set_phase(obs::TimelinePhase::kCheckpoint);
-                {
+                if (!dir_.empty()) {
                     obs::Span ckpt_span("campaign.checkpoint", shard);
                     save_shard(dir_, result);
                 }

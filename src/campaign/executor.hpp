@@ -5,7 +5,9 @@
 // to a sequential uninterrupted campaign (the drivers key every
 // injection stream by the global case index). Completed shards are
 // checkpointed atomically; a killed campaign resumes from the last
-// completed shard. Progress is journaled to events.jsonl.
+// completed shard. Progress is journaled to events.jsonl. With no
+// directory the same pool runs in memory: nothing is written and nothing
+// resumes — the one runner behind every multi-case campaign.
 #pragma once
 
 #include <cstddef>
@@ -56,10 +58,14 @@ class CampaignExecutor {
 public:
     /// Creates (or resumes) the campaign in `dir`. Writes spec.json when
     /// absent; when present, the stored spec must serialize identically
-    /// to `spec` (resuming under a different spec throws).
+    /// to `spec` (resuming under a different spec throws). An empty
+    /// `dir` runs in memory: no spec.json, checkpoints, events.jsonl or
+    /// timeline.jsonl, and run() continues only from this instance's own
+    /// completed shards.
     CampaignExecutor(std::string dir, CampaignSpec spec);
 
-    /// Resumes from an existing campaign directory's spec.json.
+    /// Resumes from an existing campaign directory's spec.json (`dir` must
+    /// be non-empty).
     [[nodiscard]] static CampaignExecutor open(const std::string& dir);
 
     /// Executes pending shards. Returns true when the campaign is

@@ -37,18 +37,21 @@ std::string PhaseTimers::summary() const {
 
 CampaignObserver::CampaignObserver(const std::string& dir, bool echo_stderr)
     : echo_(echo_stderr) {
+    if (dir.empty()) return;  // in-memory campaign: no journal
     out_.open(dir + "/events.jsonl", std::ios::app);
     if (!out_) throw std::runtime_error("cannot open " + dir + "/events.jsonl");
 }
 
 void CampaignObserver::emit(const std::string& type, JsonObject fields) {
-    if (!out_.is_open()) return;
+    if (!out_.is_open() && !echo_) return;
     fields.emplace("type", JsonValue(type));
     fields.emplace("elapsed_s", JsonValue(elapsed_seconds()));
     const std::string line = JsonValue(std::move(fields)).dump();
     const std::lock_guard<std::mutex> lock(mutex_);
-    out_ << line << '\n';
-    out_.flush();
+    if (out_.is_open()) {
+        out_ << line << '\n';
+        out_.flush();
+    }
     if (echo_) std::cerr << "[campaign] " << line << '\n';
 }
 

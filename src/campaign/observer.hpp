@@ -37,7 +37,8 @@ private:
 
 /// Appends one JSON object per line to `<dir>/events.jsonl`. Every event
 /// carries `type` and `elapsed_s` (seconds since this observer was
-/// created). Thread-safe; a null observer (empty dir) swallows events.
+/// created). Thread-safe; an empty dir writes no journal (events are
+/// only echoed, when asked), and a null observer swallows events.
 class CampaignObserver {
 public:
     CampaignObserver() = default;  ///< null observer

@@ -39,6 +39,23 @@ CampaignSpec CampaignSpec::defaults(CampaignKind kind) {
     return spec;
 }
 
+CampaignSpec CampaignSpec::from_options(CampaignKind kind,
+                                       const exp::CampaignOptions& options) {
+    CampaignSpec spec = defaults(kind);
+    const std::size_t n_cases = spec.case_ids.size();
+    const std::size_t first = std::min(options.case_first, n_cases);
+    const std::size_t count = std::min(options.case_count, n_cases - first);
+    spec.case_ids.clear();
+    for (std::size_t c = first; c < first + count; ++c) spec.case_ids.push_back(c);
+    spec.shards = spec.case_ids.size();
+    spec.times_per_bit = options.times_per_bit;
+    spec.seed = options.seed;
+    spec.max_ticks = options.max_ticks;
+    spec.severe_period = options.severe_period;
+    spec.module_filter = options.module_filter;
+    return spec;
+}
+
 std::vector<std::size_t> CampaignSpec::shard_cases(std::size_t s) const {
     std::vector<std::size_t> out;
     const std::size_t n = effective_shards();

@@ -68,6 +68,12 @@ struct CampaignSpec {
     /// A spec with the paper's defaults for `kind`: all 25 cases, the
     /// EH/PA subsets, the extended-placement ERM signals.
     [[nodiscard]] static CampaignSpec defaults(CampaignKind kind);
+    /// defaults(kind) sized like a sequential driver call: the cases
+    /// [case_first, case_first + case_count) that exist, one case per
+    /// shard, and `options`' times per bit, seed, tick budget, severe
+    /// period and module filter. Running it gives the driver's counts.
+    [[nodiscard]] static CampaignSpec from_options(CampaignKind kind,
+                                                   const exp::CampaignOptions& options);
 
     /// The case indices belonging to shard `s` (round-robin deal).
     [[nodiscard]] std::vector<std::size_t> shard_cases(std::size_t s) const;

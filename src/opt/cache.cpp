@@ -13,6 +13,7 @@ constexpr std::int64_t kCacheVersion = 1;
 }
 
 SubsetCache::SubsetCache(std::string dir) : path_(std::move(dir)) {
+    if (path_.empty()) return;  // in memory
     path_ += "/subset_cache.json";
     std::ifstream in(path_);
     if (!in) return;
@@ -45,6 +46,7 @@ void SubsetCache::store(const std::string& key, const CacheEntry& entry) {
 }
 
 void SubsetCache::flush() const {
+    if (path_.empty()) return;
     campaign::JsonObject entries;
     for (const auto& [key, e] : entries_) {
         campaign::JsonObject o;

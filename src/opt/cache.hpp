@@ -29,6 +29,7 @@ class SubsetCache {
 public:
     /// Binds the cache to `dir`/subset_cache.json and loads it when
     /// present. A corrupt file is treated as empty (measurements rerun).
+    /// An empty `dir` keeps the cache in memory: flush() writes nothing.
     explicit SubsetCache(std::string dir);
 
     [[nodiscard]] std::optional<CacheEntry> lookup(const std::string& key) const;

@@ -46,11 +46,8 @@ std::string batch_fingerprint(const std::vector<std::string>& keys) {
 }  // namespace
 
 CampaignEvaluator::CampaignEvaluator(EvaluatorOptions options)
-    : options_(std::move(options)),
-      cache_((std::filesystem::create_directories(options_.dir), options_.dir)) {
-    if (options_.dir.empty()) {
-        throw std::invalid_argument("CampaignEvaluator: options.dir must be set");
-    }
+    : options_(std::move(options)), cache_(options_.dir) {
+    if (!options_.dir.empty()) std::filesystem::create_directories(options_.dir);
 }
 
 std::string CampaignEvaluator::subset_key(const std::vector<std::string>& subset) const {
@@ -113,9 +110,10 @@ std::vector<CacheEntry> CampaignEvaluator::evaluate(
             spec.subsets.push_back(subset_spec);
         }
 
-        const std::string campaign_dir = options_.dir + "/eval-" +
-                                         to_string(options_.model) + "-" +
-                                         batch_fingerprint(batch_keys);
+        const std::string campaign_dir =
+            options_.dir.empty() ? std::string()
+                                 : options_.dir + "/eval-" + to_string(options_.model) +
+                                       "-" + batch_fingerprint(batch_keys);
         campaign::CampaignExecutor executor(campaign_dir, spec);
         campaign::ExecutorOptions exec;
         exec.threads = options_.threads;

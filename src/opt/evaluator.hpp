@@ -20,7 +20,8 @@ namespace epea::opt {
 struct EvaluatorOptions {
     ErrorModel model = ErrorModel::kInput;
     /// Working directory: holds subset_cache.json and one eval-* campaign
-    /// subdirectory per executed batch.
+    /// subdirectory per executed batch. Empty keeps the cache in memory
+    /// and runs every campaign in memory: nothing is written.
     std::string dir;
     std::size_t cases = 25;
     std::size_t times_per_bit = 10;
@@ -40,8 +41,8 @@ public:
 
     /// Measured coverage for each subset (signal names; must all carry an
     /// EA on the arrestment target). All cache misses are batched into
-    /// ONE campaign; on a fully warm cache no campaign directory is even
-    /// touched. Results are flushed to the cache before returning.
+    /// ONE campaign; on a fully warm cache no campaign runs. Results are
+    /// flushed to the cache before returning.
     [[nodiscard]] std::vector<CacheEntry> evaluate(
         const std::vector<std::vector<std::string>>& subsets);
 

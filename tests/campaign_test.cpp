@@ -248,17 +248,103 @@ TEST(ExecutorTest, InterruptedCampaignResumesBitIdentical) {
     EXPECT_TRUE(last.run(ExecutorOptions{}));
     EXPECT_EQ(last.completed().size(), 3u);
 
+    // C: the same campaign in memory (no dir), paused after one shard and
+    // continued by the same instance. It must write nothing: not in the
+    // working directory, and not at the root a "" + "/spec.json" path
+    // join would reach (compared before/after: a file already there is
+    // not this run's).
+    const std::vector<std::string> root_files = {"/spec.json", "/events.jsonl",
+                                                 "/timeline.jsonl", "/shard-000.json"};
+    std::vector<bool> root_before;
+    for (const auto& f : root_files) root_before.push_back(std::filesystem::exists(f));
+    const std::string cwd = temp_dir("in_memory_cwd");
+    std::filesystem::create_directories(cwd);
+    const std::filesystem::path old_cwd = std::filesystem::current_path();
+    std::filesystem::current_path(cwd);
+    CampaignExecutor exec_c("", tiny_spec(3, 3));
+    {
+        ExecutorOptions one;
+        one.max_shards = 1;
+        EXPECT_FALSE(exec_c.run(one));
+    }
+    EXPECT_TRUE(exec_c.run(ExecutorOptions{}));
+    std::filesystem::current_path(old_cwd);
+    EXPECT_EQ(exec_c.completed().size(), 3u);
+    EXPECT_TRUE(std::filesystem::is_empty(cwd));
+    for (std::size_t i = 0; i < root_files.size(); ++i) {
+        EXPECT_EQ(std::filesystem::exists(root_files[i]), root_before[i])
+            << root_files[i];
+    }
+    EXPECT_THROW((void)CampaignExecutor::open(""), std::runtime_error);
+
     const epic::PermeabilityMatrix merged_a = exec_a.merged_matrix(sys.system());
     const epic::PermeabilityMatrix merged_b = last.merged_matrix(sys.system());
+    const epic::PermeabilityMatrix merged_c = exec_c.merged_matrix(sys.system());
     for (const auto& e : reference.entries()) {
         const auto ref = reference.counts(e.module, e.in_port, e.out_port);
         const auto a = merged_a.counts(e.module, e.in_port, e.out_port);
         const auto b = merged_b.counts(e.module, e.in_port, e.out_port);
+        const auto c = merged_c.counts(e.module, e.in_port, e.out_port);
         EXPECT_EQ(a.hits, ref.hits) << "pair " << e.in_port << "->" << e.out_port;
         EXPECT_EQ(a.trials, ref.trials);
         EXPECT_EQ(b.hits, ref.hits);
         EXPECT_EQ(b.trials, ref.trials);
+        EXPECT_EQ(c.hits, ref.hits);
+        EXPECT_EQ(c.trials, ref.trials);
     }
+}
+
+// The in-memory executor is the multi-threaded permeability runner behind
+// `estimate` and the table benches.
+// The merged matrix refers to `sys`, which must outlive it.
+epic::PermeabilityMatrix in_memory_matrix(const target::ArrestmentSystem& sys,
+                                          std::size_t cases, std::size_t times,
+                                          std::size_t threads) {
+    CampaignSpec spec = tiny_spec(cases, cases);
+    spec.times_per_bit = times;
+    CampaignExecutor exec("", spec);
+    ExecutorOptions options;
+    options.threads = threads;
+    EXPECT_TRUE(exec.run(options));
+    return exec.merged_matrix(sys.system());
+}
+
+TEST(ParallelCampaign, MatchesSequentialExactly) {
+    target::ArrestmentSystem sys;
+    exp::CampaignOptions o = tiny_options(3);
+    o.times_per_bit = 2;
+    const epic::PermeabilityMatrix sequential =
+        exp::estimate_arrestment_permeability(sys, o);
+    const epic::PermeabilityMatrix parallel = in_memory_matrix(sys, 3, 2, /*threads=*/3);
+
+    const auto seq_entries = sequential.entries();
+    const auto par_entries = parallel.entries();
+    ASSERT_EQ(seq_entries.size(), par_entries.size());
+    for (std::size_t k = 0; k < seq_entries.size(); ++k) {
+        EXPECT_EQ(par_entries[k].affected, seq_entries[k].affected) << k;
+        EXPECT_EQ(par_entries[k].active, seq_entries[k].active) << k;
+        EXPECT_DOUBLE_EQ(par_entries[k].value, seq_entries[k].value) << k;
+    }
+}
+
+TEST(ParallelCampaign, ThreadCountDoesNotChangeResults) {
+    target::ArrestmentSystem sys;
+    const epic::PermeabilityMatrix one = in_memory_matrix(sys, 3, 2, 1);
+    const epic::PermeabilityMatrix many = in_memory_matrix(sys, 3, 2, 8);
+    const auto a = one.entries();
+    const auto b = many.entries();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].affected, b[k].affected) << k;
+        EXPECT_EQ(a[k].active, b[k].active) << k;
+    }
+}
+
+TEST(ParallelCampaign, AutoThreadCount) {
+    target::ArrestmentSystem sys;
+    const epic::PermeabilityMatrix pm = in_memory_matrix(sys, 1, 1, /*threads=*/0);
+    // Structure sanity: the strong CLOCK pair is measured.
+    EXPECT_GE(pm.get("CLOCK", "i", "ms_slot_nbr"), 0.9);
 }
 
 TEST(ExecutorTest, ShardedSevereCampaignMatchesSequentialDriver) {

@@ -360,6 +360,29 @@ TEST(FastpathEquivalence, EvaluatorGroundTruthBitIdentical) {
         EXPECT_EQ(batch_entries[i].active, replay_entries[i].active);
         EXPECT_DOUBLE_EQ(batch_entries[i].coverage, replay_entries[i].coverage);
     }
+
+    // No dir: the cache and the campaign stay in memory, with the same
+    // coverages, and nothing is written (cwd, or a root-anchored cache
+    // file that was not there before).
+    const bool root_cache_before = fs::exists("/subset_cache.json");
+    opt::EvaluatorOptions memory_opt = batch_opt;
+    memory_opt.dir.clear();
+    const fs::path cwd = tmp.path / "memory-cwd";
+    fs::create_directories(cwd);
+    const fs::path old_cwd = fs::current_path();
+    fs::current_path(cwd);
+    opt::CampaignEvaluator memory(memory_opt);
+    const auto memory_entries = memory.evaluate(subsets);
+    fs::current_path(old_cwd);
+    EXPECT_EQ(memory.campaigns_executed(), 1U);
+    EXPECT_TRUE(fs::is_empty(cwd));
+    EXPECT_EQ(fs::exists("/subset_cache.json"), root_cache_before);
+    ASSERT_EQ(memory_entries.size(), batch_entries.size());
+    for (std::size_t i = 0; i < batch_entries.size(); ++i) {
+        EXPECT_EQ(memory_entries[i].detected, batch_entries[i].detected);
+        EXPECT_EQ(memory_entries[i].active, batch_entries[i].active);
+        EXPECT_DOUBLE_EQ(memory_entries[i].coverage, batch_entries[i].coverage);
+    }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Observability against a real campaign (DESIGN.md §10): the metric
 // counters exported by a traced run must equal the checkpointed shard
 // totals bit-exactly, the trace must carry one named track per worker,
-// re-loading checkpoints must not double-count, and the fi.* counters
+// re-loading checkpoints must not double-count (nor in-memory campaigns
+// under-count), and the fi.* counters
 // must mirror FastPathStats field for field.
 #include <filesystem>
 #include <string>
@@ -106,6 +107,21 @@ TEST(ObsCampaignTest, ReloadingCheckpointsDoesNotDoubleCount) {
     EXPECT_EQ(delta.counter("campaign.shard.runs"), 0u);
     EXPECT_EQ(delta.counter("campaign.shards.done"), 0u);
     EXPECT_EQ(delta.counter("fi.runs.forked"), 0u);
+
+    // In memory nothing is reloaded and nothing is claimed: each of two
+    // in-memory campaigns in one process records its own shards exactly
+    // once (a claim keyed on an empty dir would drop the second's).
+    for (int rep = 0; rep < 2; ++rep) {
+        const MetricsSnapshot mem_before = MetricsRegistry::global().snapshot();
+        campaign::CampaignExecutor memory("", small_spec("obs-reload"));
+        ASSERT_TRUE(memory.run());
+        const MetricsSnapshot mem_delta =
+            MetricsSnapshot::diff(mem_before, MetricsRegistry::global().snapshot());
+        EXPECT_EQ(mem_delta.counter("campaign.shards.done"), memory.completed().size());
+        EXPECT_EQ(mem_delta.counter("fi.runs.forked"),
+                  memory.fastpath_totals().forked_runs);
+        EXPECT_GT(memory.fastpath_totals().forked_runs, 0u);
+    }
 }
 
 TEST(ObsCampaignTest, FastpathMetricsMirrorStatsFieldForField) {

@@ -80,3 +80,49 @@ execute_process(COMMAND ${TOOL} place optimize --ground-truth
 if(NOT rc10 EQUAL 2)
   message(FATAL_ERROR "--ground-truth should be an unknown flag, got ${rc10}")
 endif()
+
+# Strict numbers: a malformed, negative or out-of-range value exits 2
+# with a message naming the flag, instead of aborting on an uncaught
+# exception or silently wrapping to a huge count.
+foreach(bad "estimate;--cases;abc" "campaign;run;--dir;${WORKDIR}/cli_bad;--cases;-1"
+            "campaign;run;--dir;${WORKDIR}/cli_bad;--times;-1")
+  list(GET bad -2 flag)
+  execute_process(COMMAND ${TOOL} ${bad}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${flag} expects")
+    message(FATAL_ERROR "'${bad}' should exit 2 naming ${flag}: rc=${rc} ${err}")
+  endif()
+endforeach()
+if(EXISTS ${WORKDIR}/cli_bad)
+  message(FATAL_ERROR "a rejected campaign run created its directory")
+endif()
+
+# One campaign runner: the in-memory estimate matrix is byte-identical
+# to a checkpointed `campaign run` of the same cases.
+file(REMOVE_RECURSE ${WORKDIR}/cli_est_campaign)
+execute_process(COMMAND ${TOOL} estimate --cases 2 --times 1
+                        --out ${WORKDIR}/cli_est_memory.csv
+                RESULT_VARIABLE rc11 ERROR_QUIET)
+execute_process(COMMAND ${TOOL} campaign run --kind permeability --cases 2
+                        --times 1 --dir ${WORKDIR}/cli_est_campaign
+                        --out ${WORKDIR}/cli_est_campaign.csv
+                RESULT_VARIABLE rc12 OUTPUT_QUIET ERROR_QUIET)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORKDIR}/cli_est_memory.csv ${WORKDIR}/cli_est_campaign.csv
+                RESULT_VARIABLE rc13)
+if(NOT rc11 EQUAL 0 OR NOT rc12 EQUAL 0 OR NOT rc13 EQUAL 0)
+  message(FATAL_ERROR "estimate vs campaign run CSV: rc=${rc11}/${rc12}/${rc13}")
+endif()
+
+# Ground truth without --dir runs in memory and prints the same bytes
+# as the checkpointed run under --dir.
+file(REMOVE_RECURSE ${WORKDIR}/cli_gt_dir)
+set(gt_args place optimize --benefit ground-truth --cases 2 --times 1 --json)
+execute_process(COMMAND ${TOOL} ${gt_args}
+                OUTPUT_VARIABLE gt_memory RESULT_VARIABLE rc14 ERROR_QUIET)
+execute_process(COMMAND ${TOOL} ${gt_args} --dir ${WORKDIR}/cli_gt_dir
+                OUTPUT_VARIABLE gt_dir RESULT_VARIABLE rc15 ERROR_QUIET)
+if(NOT rc14 EQUAL 0 OR NOT rc15 EQUAL 0 OR NOT gt_memory STREQUAL gt_dir)
+  message(FATAL_ERROR "ground truth without --dir differs: rc=${rc14}/${rc15}\n"
+                      "${gt_memory}\nvs\n${gt_dir}")
+endif()

@@ -34,18 +34,23 @@
 // Unknown commands and unknown flags are rejected with the usage text
 // and exit status 2, so scripts fail loudly on typos.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "alt/tank_system.hpp"
@@ -69,7 +74,6 @@
 #include "epic/placement.hpp"
 #include "epic/serialize.hpp"
 #include "exp/arrestment_experiments.hpp"
-#include "exp/parallel.hpp"
 #include "exp/paper_data.hpp"
 #include "fi/golden.hpp"
 #include "fi/injector.hpp"
@@ -127,6 +131,8 @@ int usage() {
                  "                 [--cases N] [--times M]\n"
                  "                 [--shards S] [--threads T]\n"
                  "  place explain  [same options as frontier]\n"
+                 "                 (ground truth memoizes campaigns under --dir\n"
+                 "                 when given, else runs them in memory)\n"
                  "  check <arrestment|tank|FILE.sys> [--matrix FILE]\n"
                  "        [--placement S1,S2,...|EH-set|PA-set|EXT-set]\n"
                  "        [--error-model input|severe] [--json] [--out FILE]\n"
@@ -204,6 +210,37 @@ bool has_flag(const std::vector<std::string>& args, const char* flag) {
     return false;
 }
 
+/// Stores the value of the numeric `flag` in `out` when the flag is
+/// present. The whole token must be a number of `out`'s type, at least
+/// `min` — integers within the type's range, reals finite — so signs,
+/// trailing garbage and wrap-around are refused. A bad value is a usage
+/// error: the message names the flag and the process exits 2, whatever
+/// error handling the command has around its work.
+template <typename T>
+void number_flag(const std::vector<std::string>& args, const char* flag, T& out,
+                 std::type_identity_t<T> min = T{}) {
+    const auto text = flag_value(args, flag);
+    if (!text) return;
+    T value{};
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+    bool ok = ec == std::errc{} && ptr == end && !(value < min);
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::ostringstream range;
+        if constexpr (std::is_integral_v<T>) {
+            range << "an integer in [" << +min << ", "
+                  << +std::numeric_limits<T>::max() << "]";
+        } else {
+            range << "a finite number >= " << min;
+        }
+        std::fprintf(stderr, "epea_tool: %s expects %s, got '%s'\n", flag,
+                     range.str().c_str(), text->c_str());
+        std::exit(2);
+    }
+    out = value;
+}
+
 /// Observability plumbing shared by observed commands: arms a
 /// RunRecorder on construction; finish() finalizes it and writes the
 /// --trace-out/--metrics-out artifacts plus, when an artifact directory
@@ -231,8 +268,8 @@ int cmd_describe(const std::vector<std::string>& args) {
 int cmd_simulate(const std::vector<std::string>& args) {
     if (!flags_ok(args, {"--mass", "--speed"}, {})) return usage();
     target::TestCase tc;
-    if (const auto m = flag_value(args, "--mass")) tc.mass_kg = std::stod(*m);
-    if (const auto v = flag_value(args, "--speed")) tc.engage_speed_mps = std::stod(*v);
+    number_flag(args, "--mass", tc.mass_kg);
+    number_flag(args, "--speed", tc.engage_speed_mps);
 
     target::ArrestmentSystem sys;
     sys.configure(tc);
@@ -253,15 +290,9 @@ int cmd_estimate(const std::vector<std::string>& args) {
         return usage();
     }
     exp::CampaignOptions options = exp::CampaignOptions::from_env();
-    if (const auto c = flag_value(args, "--cases")) {
-        options.case_count = static_cast<std::size_t>(std::stoul(*c));
-    }
-    if (const auto t = flag_value(args, "--times")) {
-        options.times_per_bit = static_cast<std::size_t>(std::stoul(*t));
-    }
+    number_flag(args, "--cases", options.case_count, 1);
+    number_flag(args, "--times", options.times_per_bit);
     options.use_batch = !has_flag(args, "--no-batch");
-    fi::FastPathStats fastpath;
-    options.fastpath_out = &fastpath;
 
     ObsCli obs_cli(args, "estimate");
     {
@@ -277,10 +308,24 @@ int cmd_estimate(const std::vector<std::string>& args) {
 
     std::fprintf(stderr, "estimating (%zu cases x %zu times/bit)...\n",
                  options.case_count, options.times_per_bit);
-    const epic::PermeabilityMatrix pm =
-        exp::estimate_arrestment_permeability_parallel(options);
-    fi::add_fastpath_metrics(fastpath);
-    obs_cli.manifest().fastpath_stats = fi::fastpath_stats_json(fastpath);
+    static const model::SystemModel system = target::make_arrestment_model();
+    epic::PermeabilityMatrix pm(system);
+    try {
+        // The campaign executor, in memory: shards over every hardware
+        // thread, bit-identical to `campaign run --kind permeability`.
+        campaign::CampaignExecutor exec(
+            "", campaign::CampaignSpec::from_options(
+                    campaign::CampaignKind::kPermeability, options));
+        campaign::ExecutorOptions exec_options;
+        exec_options.use_batch = options.use_batch;
+        exec.run(exec_options);
+        pm = exec.merged_matrix(system);
+        obs_cli.manifest().fastpath_stats =
+            fi::fastpath_stats_json(exec.fastpath_totals());
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "estimate: %s\n", e.what());
+        return 1;
+    }
 
     if (const auto out = flag_value(args, "--out")) {
         std::ofstream file(*out);
@@ -341,6 +386,10 @@ int cmd_inject(const std::vector<std::string>& args) {
     const auto bit = flag_value(args, "--bit");
     const auto at = flag_value(args, "--at");
     if (!signal || !bit || !at) return usage();
+    unsigned bit_index = 0;
+    runtime::Tick tick = 0;
+    number_flag(args, "--bit", bit_index);
+    number_flag(args, "--at", tick);
 
     target::ArrestmentSystem sys;
     sys.configure(target::standard_test_cases()[12]);
@@ -351,9 +400,7 @@ int cmd_inject(const std::vector<std::string>& args) {
     ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
     bank.arm(sys.sim());
 
-    injector.arm({fi::Injection::into_signal(
-        sid, static_cast<unsigned>(std::stoul(*bit)),
-        static_cast<runtime::Tick>(std::stoul(*at)))});
+    injector.arm({fi::Injection::into_signal(sid, bit_index, tick)});
     sys.sim().reset();
     sys.sim().run(target::kMaxRunTicks);
 
@@ -440,20 +487,12 @@ void print_campaign_result(campaign::CampaignExecutor& exec,
 int run_and_report(campaign::CampaignExecutor& exec,
                    const std::vector<std::string>& args, const char* command) {
     campaign::ExecutorOptions opts;  // threads default 0 = auto
-    if (const auto t = flag_value(args, "--threads")) {
-        opts.threads = static_cast<std::size_t>(std::stoul(*t));
-    }
-    if (const auto m = flag_value(args, "--max-shards")) {
-        opts.max_shards = static_cast<std::size_t>(std::stoul(*m));
-    }
+    number_flag(args, "--threads", opts.threads);
+    number_flag(args, "--max-shards", opts.max_shards);
     opts.echo_events = has_flag(args, "--verbose");
     opts.use_batch = !has_flag(args, "--no-batch");
-    if (const auto i = flag_value(args, "--timeline-interval")) {
-        opts.timeline_interval_ms = static_cast<std::uint32_t>(std::stoul(*i));
-    }
-    if (const auto s = flag_value(args, "--timeline-stall")) {
-        opts.timeline_stall_samples = static_cast<std::uint32_t>(std::stoul(*s));
-    }
+    number_flag(args, "--timeline-interval", opts.timeline_interval_ms);
+    number_flag(args, "--timeline-stall", opts.timeline_stall_samples);
 
     ObsCli obs_cli(args, command);
     obs_cli.set_artifact_dir(exec.dir());
@@ -499,9 +538,7 @@ int cmd_campaign(const std::vector<std::string>& args) {
                 // interval until the campaign completes. Plain re-print
                 // (no terminal control), so it pipes and logs cleanly.
                 double interval_s = 2.0;
-                if (const auto i = flag_value(rest, "--interval")) {
-                    interval_s = std::stod(*i);
-                }
+                number_flag(rest, "--interval", interval_s);
                 if (interval_s <= 0.0) interval_s = 0.1;
                 for (;;) {
                     const campaign::CampaignStatus status =
@@ -565,24 +602,14 @@ int cmd_campaign(const std::vector<std::string>& args) {
             const std::string kind = flag_value(rest, "--kind").value_or("permeability");
             spec = campaign::CampaignSpec::defaults(
                 campaign::campaign_kind_from_string(kind));
-            if (const auto c = flag_value(rest, "--cases")) {
-                spec.case_ids.resize(std::min<std::size_t>(
-                    std::stoul(*c), spec.case_ids.size()));
-            }
-            if (const auto t = flag_value(rest, "--times")) {
-                spec.times_per_bit = static_cast<std::size_t>(std::stoul(*t));
-            }
-            if (const auto s = flag_value(rest, "--shards")) {
-                spec.shards = static_cast<std::size_t>(std::stoul(*s));
-            }
-            if (const auto w = flag_value(rest, "--adaptive")) {
-                spec.adaptive.enabled = true;
-                spec.adaptive.half_width = std::stod(*w);
-            }
-            if (const auto m = flag_value(rest, "--min-trials")) {
-                spec.adaptive.min_trials =
-                    static_cast<std::uint64_t>(std::stoul(*m));
-            }
+            std::size_t cases = spec.case_ids.size();
+            number_flag(rest, "--cases", cases, 1);
+            spec.case_ids.resize(std::min(cases, spec.case_ids.size()));
+            number_flag(rest, "--times", spec.times_per_bit);
+            number_flag(rest, "--shards", spec.shards);
+            spec.adaptive.enabled = flag_value(rest, "--adaptive").has_value();
+            number_flag(rest, "--adaptive", spec.adaptive.half_width);
+            number_flag(rest, "--min-trials", spec.adaptive.min_trials);
         }
         campaign::CampaignExecutor exec(*dir, std::move(spec));
         return run_and_report(exec, rest, "campaign run");
@@ -594,7 +621,8 @@ int cmd_campaign(const std::vector<std::string>& args) {
 
 /// Builds the optimizer requested by the `place` flags: --benefit
 /// analytic (default; the propagation engine's fixpoint reach) or
-/// ground-truth (campaign-backed, memoized under --dir). The permeability
+/// ground-truth (campaign-backed; memoized under --dir when given, else
+/// in memory for this invocation). The permeability
 /// matrix backing the analytic mode must outlive the optimizer, hence
 /// the out-parameter holder.
 opt::PlacementOptimizer make_place_optimizer(
@@ -603,25 +631,13 @@ opt::PlacementOptimizer make_place_optimizer(
     const model::SystemModel& system, std::string& mode_out) {
     const std::string benefit = flag_value(args, "--benefit").value_or("analytic");
     if (benefit == "ground-truth") {
-        const auto dir = flag_value(args, "--dir");
-        if (!dir) {
-            throw std::invalid_argument("--benefit ground-truth requires --dir DIR");
-        }
         opt::EvaluatorOptions options;
         options.model = model;
-        options.dir = *dir;
-        if (const auto c = flag_value(args, "--cases")) {
-            options.cases = static_cast<std::size_t>(std::stoul(*c));
-        }
-        if (const auto t = flag_value(args, "--times")) {
-            options.times_per_bit = static_cast<std::size_t>(std::stoul(*t));
-        }
-        if (const auto s = flag_value(args, "--shards")) {
-            options.shards = static_cast<std::size_t>(std::stoul(*s));
-        }
-        if (const auto t = flag_value(args, "--threads")) {
-            options.threads = static_cast<std::size_t>(std::stoul(*t));
-        }
+        options.dir = flag_value(args, "--dir").value_or("");
+        number_flag(args, "--cases", options.cases);
+        number_flag(args, "--times", options.times_per_bit);
+        number_flag(args, "--shards", options.shards);
+        number_flag(args, "--threads", options.threads);
         options.echo_events = has_flag(args, "--verbose");
         options.use_batch = !has_flag(args, "--no-batch");
         mode_out = "ground-truth";
@@ -677,12 +693,8 @@ int cmd_place(const std::vector<std::string>& args) {
 
         if (sub == "optimize") {
             opt::SearchOptions options;
-            if (const auto b = flag_value(rest, "--budget-memory")) {
-                options.budget.memory = std::stod(*b);
-            }
-            if (const auto b = flag_value(rest, "--budget-time")) {
-                options.budget.time = std::stod(*b);
-            }
+            number_flag(rest, "--budget-memory", options.budget.memory);
+            number_flag(rest, "--budget-time", options.budget.time);
             const opt::SearchResult result = optimizer.optimize(options);
             if (has_flag(rest, "--json")) {
                 // Shared reporter: byte-identical to POST /v1/place/optimize.
@@ -1056,9 +1068,7 @@ int cmd_obs(const std::vector<std::string>& args) {
     try {
         if (sub == "report") {
             std::size_t top_n = 5;
-            if (const auto t = flag_value(rest, "--top")) {
-                top_n = static_cast<std::size_t>(std::stoul(*t));
-            }
+            number_flag(rest, "--top", top_n);
             return cmd_obs_report(dir, has_flag(rest, "--json"), top_n);
         }
         if (sub == "metrics") {
@@ -1652,24 +1662,12 @@ int cmd_analytic_validate(const std::vector<std::string>& args) {
     analytic::ValidateOptions options;
     options.run_campaign = !has_flag(args, "--no-campaign");
     options.run_synth = !has_flag(args, "--no-synth");
-    if (const auto c = flag_value(args, "--cases")) {
-        options.campaign.case_count = static_cast<std::size_t>(std::stoul(*c));
-    }
-    if (const auto t = flag_value(args, "--times")) {
-        options.campaign.times_per_bit = static_cast<std::size_t>(std::stoul(*t));
-    }
-    if (const auto g = flag_value(args, "--graphs")) {
-        options.synth_graphs = static_cast<std::size_t>(std::stoul(*g));
-    }
-    if (const auto s = flag_value(args, "--seed")) {
-        options.synth_seed = static_cast<std::uint64_t>(std::stoull(*s));
-    }
-    if (const auto e = flag_value(args, "--enumeration-tolerance")) {
-        options.enumeration_tolerance = std::stod(*e);
-    }
-    if (const auto c = flag_value(args, "--campaign-tolerance")) {
-        options.campaign_tolerance = std::stod(*c);
-    }
+    number_flag(args, "--cases", options.campaign.case_count);
+    number_flag(args, "--times", options.campaign.times_per_bit);
+    number_flag(args, "--graphs", options.synth_graphs);
+    number_flag(args, "--seed", options.synth_seed);
+    number_flag(args, "--enumeration-tolerance", options.enumeration_tolerance);
+    number_flag(args, "--campaign-tolerance", options.campaign_tolerance);
     if (options.run_campaign) {
         std::fprintf(stderr,
                      "validating (enumeration + campaign of %zu cases x %zu "
@@ -1722,27 +1720,13 @@ int cmd_synth(const std::vector<std::string>& args) {
     }
     try {
         synth::LayeredOptions options;
-        if (const auto v = flag_value(args, "--layers")) {
-            options.layers = static_cast<std::size_t>(std::stoul(*v));
-        }
-        if (const auto v = flag_value(args, "--width")) {
-            options.modules_per_layer = static_cast<std::size_t>(std::stoul(*v));
-        }
-        if (const auto v = flag_value(args, "--fan-in")) {
-            options.inputs_per_module = static_cast<std::size_t>(std::stoul(*v));
-        }
-        if (const auto v = flag_value(args, "--fan-out")) {
-            options.outputs_per_module = static_cast<std::size_t>(std::stoul(*v));
-        }
-        if (const auto v = flag_value(args, "--edge-density")) {
-            options.edge_density = std::stod(*v);
-        }
-        if (const auto v = flag_value(args, "--cycle-density")) {
-            options.cycle_density = std::stod(*v);
-        }
-        if (const auto v = flag_value(args, "--seed")) {
-            options.seed = static_cast<std::uint64_t>(std::stoull(*v));
-        }
+        number_flag(args, "--layers", options.layers);
+        number_flag(args, "--width", options.modules_per_layer);
+        number_flag(args, "--fan-in", options.inputs_per_module);
+        number_flag(args, "--fan-out", options.outputs_per_module);
+        number_flag(args, "--edge-density", options.edge_density);
+        number_flag(args, "--cycle-density", options.cycle_density);
+        number_flag(args, "--seed", options.seed);
         const synth::SyntheticSystem sys = synth::random_layered_system(options);
         if (const auto out = flag_value(args, "--out")) {
             std::ofstream file(*out);
@@ -1793,18 +1777,10 @@ int cmd_serve(const std::vector<std::string>& args) {
             options.service.matrix_path = *m;
         }
         if (const auto d = flag_value(args, "--eval-dir")) options.service.eval_dir = *d;
-        if (const auto c = flag_value(args, "--cases")) {
-            options.service.gt_cases = static_cast<std::size_t>(std::stoul(*c));
-        }
-        if (const auto t = flag_value(args, "--times")) {
-            options.service.gt_times = static_cast<std::size_t>(std::stoul(*t));
-        }
-        if (const auto p = flag_value(args, "--port")) {
-            options.server.port = static_cast<std::uint16_t>(std::stoul(*p));
-        }
-        if (const auto t = flag_value(args, "--threads")) {
-            options.server.threads = static_cast<std::size_t>(std::stoul(*t));
-        }
+        number_flag(args, "--cases", options.service.gt_cases);
+        number_flag(args, "--times", options.service.gt_times);
+        number_flag(args, "--port", options.server.port);
+        number_flag(args, "--threads", options.server.threads);
 
         ObsCli obs_cli(args, "serve");
         {
