@@ -293,11 +293,8 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
     fi::GoldenCache& cache =
         options.golden_cache ? *options.golden_cache : local_cache;
     fi::FastPathStats stats;
-    // Periodic plans re-perturb the state every `severe_period` ticks, so
-    // convergence pruning is unsound and forking to tick 10 saves almost
-    // nothing against the cost of capturing boundary snapshots: the severe
-    // model replays every run (DESIGN.md §9), but the golden trace for EA
-    // calibration still comes from the shared cache.
+    fi::BatchRunner batchrun(sys.sim(), injector);
+    batchrun.set_mode(fi::BatchRunner::Mode::kCoverage);
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Injection streams keyed by the global case index: running any
@@ -322,15 +319,40 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
             recalibrate_bank(bank, system, gr.trace, options.ea_margins);
         }
 
+        // Periodic plans re-perturb the state every `severe_period` ticks,
+        // so lanes can neither prune nor usefully fork late: they all start
+        // from the reset state, captured under the armed, freshly
+        // calibrated bank (DESIGN.md §9). The bare golden makes the runner
+        // replay instead.
+        std::shared_ptr<const fi::GoldenCaseData> golden = bare;
+        if (options.use_batch && sys.sim().snapshot_supported()) {
+            golden = std::make_shared<const fi::GoldenCaseData>(
+                fi::capture_reset_data(sys.sim(), *bare));
+        }
+        batchrun.set_golden(golden);
+        batchrun.clear();
+        for (std::size_t w = 0; w < word_count; ++w) {
+            (void)batchrun.submit(fi::Injection::into_memory(w, fi::kRandomBit, /*at=*/10,
+                                                             options.severe_period),
+                                  fi::BatchRunner::kNoSeal, ++seed);
+        }
+        batchrun.flush();
+
+        // Tickets follow the word order of the submissions.
         for (std::size_t w = 0; w < word_count; ++w) {
             const runtime::Region region = sys.sim().memory().word(w).region;
             const std::size_t region_idx = region == runtime::Region::kRam ? 0 : 1;
-
-            fi::replay(sys.sim(), injector,
-                       {fi::Injection::into_memory(w, fi::kRandomBit, /*at=*/10,
-                                                   options.severe_period)},
-                       options.max_ticks, ++seed, stats);
+            const fi::BatchOutcome& oc = batchrun.outcome(w);
             ++result.runs;
+
+            // Rehydrate the bank's detection state and the plant's failure
+            // report from the run's end state.
+            runtime::StateReader monitors(oc.monitors);
+            for (std::size_t e = 0; e < bank.size(); ++e) {
+                bank.at(e).restore_state(monitors);
+            }
+            runtime::StateReader environment(oc.environment);
+            sys.plant().restore_state(environment);
 
             const bool failed = sys.plant().failure_report().failed();
             if (failed) ++result.failures;
@@ -351,6 +373,7 @@ SevereCoverageResult severe_coverage_experiment(target::ArrestmentSystem& sys,
     }
     sys.sim().enable_trace(true);
     sys.sim().clear_monitors();
+    stats.merge(batchrun.stats());
     if (options.fastpath_out) options.fastpath_out->merge(stats);
     return result;
 }

@@ -42,12 +42,12 @@ struct CampaignOptions {
     /// 1.0 disables the continuous EAs' steady-state band).
     ea::CalibrationMargins ea_margins{};
 
-    /// Injection engine (DESIGN.md §9): run the one-shot plans of a case
-    /// as lockstep lanes forked from cached golden boundary snapshots.
-    /// Off replays every plan from tick 0 — the reference. Only the
-    /// permeability and input-coverage drivers batch (periodic
-    /// severe/recovery plans always replay); bit-identical results
-    /// either way.
+    /// Injection engine (DESIGN.md §9): run the plans of a case as
+    /// lockstep lanes — one-shot plans forked from cached golden boundary
+    /// snapshots, periodic severe plans from the reset state. Off replays
+    /// every plan from tick 0 — the reference. The recovery driver always
+    /// replays (the fused kernel refuses its ERM recoverers);
+    /// bit-identical results either way.
     bool use_batch = true;
     /// Shared golden-run cache (the campaign executor passes its own so
     /// goldens are captured once per case across drivers and worker

@@ -33,9 +33,9 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
     fi::GoldenCache& cache =
         options.golden_cache ? *options.golden_cache : local_cache;
     fi::FastPathStats stats;
-    // Like the severe model, the recovery experiment injects periodic
-    // plans, so every run replays (DESIGN.md §9); only the golden trace
-    // for wrapper calibration is shared through the cache.
+    // The recovery experiment arms ERM recoverers, which the fused batch
+    // kernel refuses, so every run replays (DESIGN.md §9); only the
+    // golden trace for wrapper calibration is shared through the cache.
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Global-case-index keying, as in severe_coverage_experiment.

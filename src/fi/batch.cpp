@@ -34,17 +34,27 @@ std::uint32_t BatchRunner::add_seal_rule(SealRule rule) {
     return static_cast<std::uint32_t>(seal_rules_.size() - 1);
 }
 
-std::size_t BatchRunner::submit(const Injection& injection, std::uint32_t seal) {
-    if (injection.period != 0 || injection.bit == kRandomBit) {
-        throw std::invalid_argument(
-            "BatchRunner: only deterministic one-shot plans are batchable");
-    }
+std::size_t BatchRunner::submit(const Injection& injection, std::uint32_t seal,
+                                std::uint64_t seed) {
     if (seal != kNoSeal && seal >= seal_rules_.size()) {
         throw std::invalid_argument("BatchRunner: unknown seal rule handle");
     }
+    if (injection.period == 0) {
+        if (injection.bit == kRandomBit) {
+            throw std::invalid_argument("BatchRunner: random bits need a periodic plan");
+        }
+    } else {
+        if (seal != kNoSeal) {
+            throw std::invalid_argument("BatchRunner: periodic plans take no seal rule");
+        }
+        if (mode_ != Mode::kCoverage) {
+            throw std::invalid_argument(
+                "BatchRunner: periodic plans run in coverage mode");
+        }
+    }
     const std::size_t ticket = outcomes_.size();
     outcomes_.emplace_back();
-    pending_.push_back(Pending{ticket, seal, injection});
+    pending_.push_back(Pending{ticket, seal, seed, injection});
     return ticket;
 }
 
@@ -58,6 +68,9 @@ void BatchRunner::flush() {
     EPEA_OBS_SAMPLED_SPAN(span, "fi.batch_flush");
     const runtime::Tick len = golden_->run.length;
     const std::size_t signal_count = golden_->run.trace.signal_count();
+    // One-shot lanes fork from boundary[at]; periodic lanes need only the
+    // reset state, boundary[0] (reset-only data, see capture_reset_data).
+    const bool every_boundary = golden_->boundary.size() > len;
 
     // Group by injection tick: lanes of one batch fork from nearby
     // boundary snapshots, so the sweep's tick span — and with it the
@@ -69,8 +82,17 @@ void BatchRunner::flush() {
     // Injections at or beyond the golden end never fire: the run equals
     // the golden run outright.
     std::vector<Pending> live;
+    std::vector<Pending> periodic;
     live.reserve(pending_.size());
     for (const Pending& p : pending_) {
+        if (p.inj.period != 0) {
+            periodic.push_back(p);
+            continue;
+        }
+        if (!every_boundary) {
+            throw std::logic_error(
+                "BatchRunner: one-shot plans need a golden boundary at every tick");
+        }
         if (p.inj.at < len) {
             live.push_back(p);
             continue;
@@ -84,6 +106,7 @@ void BatchRunner::flush() {
             out.first_diff.assign(signal_count, runtime::kInvalidTick);
         } else {
             out.monitors = golden_->boundary[len].monitors;
+            out.environment = golden_->boundary[len].environment;
         }
         ++stats_.skipped_runs;
         stats_.ticks_saved += len;
@@ -99,7 +122,12 @@ void BatchRunner::flush() {
 
     const std::size_t width = effective_width();
     for (std::size_t first = 0; first < live.size(); first += width) {
-        run_batch(live.data() + first, std::min(width, live.size() - first));
+        run_batch(live.data() + first, std::min(width, live.size() - first),
+                  /*periodic=*/false);
+    }
+    for (std::size_t first = 0; first < periodic.size(); first += width) {
+        run_batch(periodic.data() + first, std::min(width, periodic.size() - first),
+                  /*periodic=*/true);
     }
 
     sim_->enable_trace(had_trace);
@@ -108,12 +136,12 @@ void BatchRunner::flush() {
 void BatchRunner::replay_pending() {
     const bool perm = mode_ == Mode::kPermeability;
     // Permeability reads first differences off the replayed trace;
-    // coverage reads only the monitor state.
+    // coverage reads only the monitor and environment state.
     const bool had_trace = sim_->trace() != nullptr;
     sim_->enable_trace(perm);
     for (const Pending& p : pending_) {
         const runtime::RunResult rr =
-            replay(*sim_, *injector_, {p.inj}, golden_->max_ticks, /*seed=*/1, stats_);
+            replay(*sim_, *injector_, {p.inj}, golden_->max_ticks, p.seed, stats_);
         BatchOutcome& out = outcomes_[p.ticket];
         out.fired = injector_->fired_count() > 0;
         out.end_tick = rr.ticks;
@@ -125,6 +153,9 @@ void BatchRunner::replay_pending() {
             out.monitors.clear();
             runtime::StateWriter w(out.monitors);
             for (const runtime::SignalMonitor* m : sim_->monitors()) m->save_state(w);
+            out.environment.clear();
+            runtime::StateWriter e(out.environment);
+            sim_->environment().save_state(e);
         }
     }
     // An armed injector would also fire into later lanes (its hooks run
@@ -134,7 +165,7 @@ void BatchRunner::replay_pending() {
     sim_->enable_trace(had_trace);
 }
 
-void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
+void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool periodic) {
     const runtime::Tick max_ticks = golden_->max_ticks;
     const runtime::Tick len = golden_->run.length;
     const auto& boundary = golden_->boundary;
@@ -154,8 +185,10 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
     }
     stats_.record_batch_width(W);
 
+    periodic_batch_ = periodic;
     lanes_.assign(W, Lane{});
     mismatch_.assign(W, 0);
+    if (periodic) schedule_.resize(W);  // each lane sets its own at activation
     if (perm) {
         first_diff_.assign(signal_count * W, runtime::kInvalidTick);
         fd_new_.assign(W, 0);
@@ -168,36 +201,50 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
         gsig[s] = gtrace.series(model::SignalId{static_cast<std::uint32_t>(s)}).data();
     }
 
+    // Periodic lanes run from the reset state; one-shot lanes fork at
+    // their injection tick.
+    const auto fork_tick = [periodic](const Pending& p) {
+        return periodic ? runtime::Tick{0} : p.inj.at;
+    };
     std::size_t next = 0;
-    runtime::Tick t = batch[0].inj.at;
+    runtime::Tick t = fork_tick(batch[0]);
     while (state_.live() > 0 || next < W) {
-        if (state_.live() == 0) t = batch[next].inj.at;  // jump over dead span
-        while (next < W && batch[next].inj.at <= t) {
+        if (state_.live() == 0) t = fork_tick(batch[next]);  // jump over dead span
+        while (next < W && fork_tick(batch[next]) <= t) {
             const Pending& p = batch[next];
-            const std::size_t lane = state_.activate(boundary[p.inj.at]);
-            state_.set_launch(lane, to_flip(p.inj));
-            lanes_[lane] = Lane{p.ticket, p.inj.at, p.seal};
+            const runtime::Tick t0 = fork_tick(p);
+            const std::size_t lane = state_.activate(boundary[t0]);
+            lanes_[lane] = Lane{p.ticket, t0, p.seal};
+            if (periodic) {
+                const unsigned random_width =
+                    p.inj.bit == kRandomBit ? flip_width(*sim_, p.inj) : 0U;
+                schedule_[lane] = Schedule{p.inj.at, p.inj.period, to_flip(p.inj),
+                                           random_width, util::Rng(p.seed), false};
+            } else {
+                state_.set_launch(lane, to_flip(p.inj));
+            }
             if (perm) {
                 for (std::size_t s = 0; s < signal_count; ++s) {
                     first_diff_[s * W + lane] = runtime::kInvalidTick;
                 }
             }
             ++stats_.lanes_launched;
-            if (p.inj.at == 0) {
+            if (t0 == 0) {
                 ++stats_.full_runs;
             } else {
                 ++stats_.forked_runs;
-                stats_.ticks_saved += p.inj.at;
+                stats_.ticks_saved += t0;
             }
             ++next;
         }
 
+        if (periodic) launch_due(t);
         backend->step(state_, t);
         state_.clear_launches();
         const runtime::Tick k = t + 1;
         const std::size_t live = state_.live();
 
-        if (t < len) {
+        if (!periodic && t < len) {
             // Post-step signals are trace row `t`. One pass computes the
             // prune prefilter (all signals golden) and — in permeability
             // mode — the online per-signal first differences.
@@ -241,7 +288,8 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
                 // outcome can no longer change. See SealRule.
                 retire_lane(lane, k, /*finished=*/false, /*pruned=*/false,
                             /*sealed=*/true);
-            } else if (k < len && mismatch_[lane] == 0 && k > lanes_[lane].t0 &&
+            } else if (!periodic && k < len && mismatch_[lane] == 0 &&
+                       k > lanes_[lane].t0 &&
                        k % kPruneCheckPeriod == 0 &&
                        state_.lane_equals(lane, boundary[k])) {
                 // Converged: the lane's remaining evolution is the golden
@@ -260,6 +308,20 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count) {
             // dead); re-examine the same index.
         }
         ++t;
+    }
+}
+
+void BatchRunner::launch_due(runtime::Tick now) {
+    for (std::size_t lane = 0; lane < state_.live(); ++lane) {
+        Schedule& sched = schedule_[lane];
+        if (sched.next != now) continue;
+        runtime::BatchFlip flip = sched.flip;
+        if (sched.random_width != 0) {
+            flip.bit = static_cast<unsigned>(sched.rng.below(sched.random_width));
+        }
+        state_.set_launch(lane, flip);
+        sched.next += sched.period;
+        sched.fired = true;
     }
 }
 
@@ -287,7 +349,7 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
     const Lane meta = lanes_[lane];
 
     BatchOutcome& out = outcomes_[meta.ticket];
-    out.fired = true;
+    out.fired = !periodic_batch_ || schedule_[lane].fired;
     out.pruned = pruned;
     stats_.ticks_executed += end - meta.t0;
     if (pruned) {
@@ -315,14 +377,20 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
         }
     } else if (pruned) {
         out.monitors = golden_->boundary[len].monitors;
+        out.environment = golden_->boundary[len].environment;
     } else {
         state_.extract_monitors(lane, out.monitors);
+        out.environment.resize(state_.layout().environment);
+        for (std::size_t w = 0; w < out.environment.size(); ++w) {
+            out.environment[w] = state_.environment_row(w)[lane];
+        }
     }
 
     const std::size_t last = state_.retire(lane);
     if (lane != last) {
         lanes_[lane] = lanes_[last];
         mismatch_[lane] = mismatch_[last];
+        if (periodic_batch_) schedule_[lane] = schedule_[last];
         if (mode_ == Mode::kPermeability) {
             fd_new_[lane] = fd_new_[last];
             for (std::size_t s = 0; s < signal_count; ++s) {

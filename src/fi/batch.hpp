@@ -1,19 +1,26 @@
 // The injection engine (DESIGN.md §9): the scheduler side of the
-// structure-of-arrays batch kernel, and the only executor of one-shot
-// injection plans.
+// structure-of-arrays batch kernel, and the only executor of injection
+// plans.
 //
-// BatchRunner collects one-shot injection plans that share a golden run,
-// groups them by injection tick into width-W lockstep batches, forks
-// each as a lane from the golden boundary snapshot at its t0, and
-// advances all live lanes one tick per inner-loop pass through a
-// runtime::BatchBackend (the target's fused SoA kernel, or the
-// target-agnostic ScalarLaneBackend when none is installed). Lanes
-// retire on convergence-prune (full state equality with the golden
-// boundary), on environment finish, on the tick budget, and — in
-// permeability mode — at the golden end, where the outcome can no longer
-// change, or earlier when the consumer's attribution seal rule is
-// decided (see SealRule). Retired lanes are compacted out of the hot
+// BatchRunner collects injection plans that share a golden run and
+// advances them as width-W lockstep batches of lanes, one tick of all
+// live lanes per inner-loop pass, through a runtime::BatchBackend (the
+// target's fused SoA kernel, or the target-agnostic ScalarLaneBackend
+// when none is installed). Retired lanes are compacted out of the hot
 // loop.
+//
+//  - One-shot plans are grouped by injection tick and fork from the
+//    golden boundary snapshot at their t0. They retire on
+//    convergence-prune (full state equality with the golden boundary),
+//    on environment finish, on the tick budget, and — in permeability
+//    mode — at the golden end, where the outcome can no longer change,
+//    or earlier when the consumer's attribution seal rule is decided
+//    (see SealRule).
+//  - Periodic plans (the severe model; coverage mode only) fork from the
+//    reset state, boundary[0], and launch their flip at every tick of
+//    their schedule, drawing kRandomBit bits from a per-lane Rng seeded
+//    like the replay's injector. A lane perturbed again every period
+//    cannot prune, so it runs to environment finish or the tick budget.
 //
 // Reference path: when the golden data carries no boundary snapshots
 // (callers capture it that way to request the reference, `--no-batch`)
@@ -24,8 +31,8 @@
 // Bit-identity contract: consumed in submission order, the lane outcomes
 // reproduce exactly what replay produces — fired flags, per-signal first
 // value-differences over the common trace prefix (permeability), and
-// monitor/EA detection state at run end (coverage). Periodic plans
-// (severe/recovery models) are out of scope and run through fi::replay.
+// monitor/EA detection state plus the environment state at run end
+// (coverage).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +43,7 @@
 #include "fi/injection.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace epea::fi {
 
@@ -58,6 +66,9 @@ struct BatchOutcome {
     /// Coverage mode: the monitor snapshot section at run end (EA
     /// detection state; golden end state for pruned/skipped runs).
     std::vector<std::uint64_t> monitors;
+    /// Coverage mode: the environment snapshot section at run end — the
+    /// words replay leaves in the plant (e.g. its failure report).
+    std::vector<std::uint64_t> environment;
 };
 
 class BatchRunner {
@@ -128,6 +139,7 @@ public:
 
     /// Golden run of the current case; its tick budget is the runs'.
     /// Without boundary snapshots flush() takes the reference path.
+    /// Reset-only data (capture_reset_data) serves periodic plans only.
     void set_golden(std::shared_ptr<const GoldenCaseData> golden) noexcept {
         golden_ = std::move(golden);
     }
@@ -137,11 +149,13 @@ public:
     /// (module, port) and reuse the handles for every case.
     std::uint32_t add_seal_rule(SealRule rule);
 
-    /// Queues one one-shot injection (periodic plans go to fi::replay).
-    /// Returns the ticket index for outcome(). `seal` is an
-    /// add_seal_rule() handle, or kNoSeal to run the lane to its normal
-    /// retirement.
-    std::size_t submit(const Injection& injection, std::uint32_t seal = kNoSeal);
+    /// Queues one injection plan. Returns the ticket index for
+    /// outcome(). `seal` is an add_seal_rule() handle, or kNoSeal to run
+    /// the lane to its normal retirement; periodic plans take no seal and
+    /// run in coverage mode only. `seed` drives a periodic plan's
+    /// kRandomBit draws, as Injector::arm's does.
+    std::size_t submit(const Injection& injection, std::uint32_t seal = kNoSeal,
+                       std::uint64_t seed = 1);
 
     /// Runs every queued injection — as lanes, or replayed on the
     /// reference path. Outcomes become valid, indexed by ticket in
@@ -170,11 +184,23 @@ private:
     struct Pending {
         std::size_t ticket = 0;
         std::uint32_t seal = kNoSeal;
+        std::uint64_t seed = 1;
         Injection inj;
+    };
+    /// Flip schedule of a periodic lane: fires at `next`, then every
+    /// `period` ticks — Injector::due's rule at the same pipeline point.
+    struct Schedule {
+        runtime::Tick next = 0;
+        runtime::Tick period = 0;
+        runtime::BatchFlip flip;
+        unsigned random_width = 0;  ///< kRandomBit draw bound; 0 = fixed bit
+        util::Rng rng;
+        bool fired = false;
     };
 
     void replay_pending();
-    void run_batch(const Pending* batch, std::size_t count);
+    void run_batch(const Pending* batch, std::size_t count, bool periodic);
+    void launch_due(runtime::Tick now);
     void retire_lane(std::size_t lane, runtime::Tick end, bool finished, bool pruned,
                      bool sealed = false);
     [[nodiscard]] bool seal_decided(std::size_t lane) const noexcept;
@@ -193,7 +219,9 @@ private:
     // Per-batch working state (capacity reused across batches).
     std::unique_ptr<runtime::ScalarLaneBackend> fallback_;
     runtime::BatchState state_;
+    bool periodic_batch_ = false;
     std::vector<Lane> lanes_;
+    std::vector<Schedule> schedule_;         ///< per-lane, periodic batches only
     std::vector<runtime::Tick> first_diff_;  ///< [signal * width + lane]
     std::vector<std::uint8_t> mismatch_;     ///< per-lane, reset each tick
     std::vector<std::uint8_t> fd_new_;       ///< lane recorded a first diff this tick

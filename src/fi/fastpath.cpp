@@ -95,6 +95,16 @@ GoldenCaseData capture_golden_data(runtime::Simulator& sim, runtime::Tick max_ti
     return data;
 }
 
+GoldenCaseData capture_reset_data(runtime::Simulator& sim, const GoldenCaseData& golden) {
+    GoldenCaseData data;
+    data.max_ticks = golden.max_ticks;
+    data.run.length = golden.run.length;
+    data.run.finished = golden.run.finished;
+    sim.reset();
+    sim.capture_snapshot(data.boundary.emplace_back());
+    return data;
+}
+
 std::string golden_key(const std::string& tag, std::size_t case_index) {
     return tag + "/" + std::to_string(case_index);
 }

@@ -94,7 +94,8 @@ void add_fastpath_metrics(const FastPathStats& delta);
 
 /// One test case's golden run, optionally with per-tick boundary
 /// snapshots: boundary[t] is the complete mutable state after t completed
-/// ticks (t = 0..run.length), hash[t] its 64-bit digest.
+/// ticks (t = 0..run.length), hash[t] its 64-bit digest. Reset-only data
+/// (capture_reset_data) holds boundary[0] alone and no trace.
 struct GoldenCaseData {
     GoldenRun run;
     runtime::Tick max_ticks = 0;  ///< tick budget the run was captured under
@@ -115,6 +116,13 @@ struct GoldenCaseData {
                                                  runtime::Tick max_ticks,
                                                  bool with_snapshots,
                                                  bool with_hashes = false);
+
+/// Reset-only golden data for periodic plans: `golden`'s run length,
+/// finish flag and tick budget, no trace, and one boundary snapshot — the
+/// reset state under the simulator's current monitors. Periodic lanes
+/// fork there and never prune, so they need no later boundary.
+[[nodiscard]] GoldenCaseData capture_reset_data(runtime::Simulator& sim,
+                                                const GoldenCaseData& golden);
 
 /// Canonical cache key for golden data: `tag` names the capture context
 /// (which monitors/recoverers were armed and calibrated), `case_index`
@@ -167,9 +175,10 @@ private:
 
 /// Reference execution of one injection plan: arms the injector, resets
 /// the simulator and runs it from tick 0 for at most `max_ticks` ticks.
-/// Counts one full run and its ticks into `stats`. Periodic plans (the
-/// severe and recovery models) run here; BatchRunner falls back to it for
-/// one-shot plans whose golden data or target cannot snapshot.
+/// Counts one full run and its ticks into `stats`. BatchRunner runs its
+/// plans here when the golden data or the target cannot snapshot; the
+/// recovery model, whose ERM recoverers the fused kernel refuses, calls
+/// it directly.
 runtime::RunResult replay(runtime::Simulator& sim, Injector& injector,
                           std::vector<Injection> plan, runtime::Tick max_ticks,
                           std::uint64_t seed, FastPathStats& stats);

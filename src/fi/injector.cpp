@@ -2,6 +2,21 @@
 
 namespace epea::fi {
 
+unsigned flip_width(const runtime::Simulator& sim, const Injection& inj) {
+    switch (inj.kind) {
+        case Injection::Kind::kSignal:
+            return sim.signals().width(inj.signal);
+        case Injection::Kind::kModuleInput: {
+            const auto& inputs = sim.system().module(inj.module).inputs;
+            return inj.port < inputs.size() ? sim.system().signal(inputs[inj.port]).width
+                                            : 1U;
+        }
+        case Injection::Kind::kMemoryWord:
+            return sim.memory().word(inj.word_index).width;
+    }
+    return 1U;
+}
+
 Injector::Injector(runtime::Simulator& sim) : sim_(&sim) {
     sim.set_pre_frame_hook(
         [this](runtime::Simulator& s, runtime::Tick now) { pre_frame(s, now); });
@@ -34,16 +49,15 @@ void Injector::mark_fired(runtime::Tick now) noexcept {
     if (first_fire_ == runtime::kInvalidTick) first_fire_ = now;
 }
 
-unsigned Injector::pick_bit(const Injection& inj, unsigned width) noexcept {
+unsigned Injector::pick_bit(const Injection& inj) {
     if (inj.bit != kRandomBit) return inj.bit;
-    return static_cast<unsigned>(rng_.below(width));
+    return static_cast<unsigned>(rng_.below(flip_width(*sim_, inj)));
 }
 
 void Injector::pre_frame(runtime::Simulator& sim, runtime::Tick now) {
     for (const Injection& inj : plan_) {
         if (inj.kind != Injection::Kind::kSignal || !due(inj, now)) continue;
-        const unsigned width = sim.signals().width(inj.signal);
-        sim.signals().flip_bit(inj.signal, pick_bit(inj, width));
+        sim.signals().flip_bit(inj.signal, pick_bit(inj));
         mark_fired(now);
     }
 }
@@ -54,15 +68,11 @@ void Injector::post_frame(runtime::Simulator& sim, runtime::Tick now) {
         if (inj.kind == Injection::Kind::kModuleInput) {
             auto frame = sim.frame(inj.module);
             if (inj.port >= frame.size()) continue;
-            const model::SignalId sid =
-                sim.system().module(inj.module).inputs[inj.port];
-            const unsigned width = sim.system().signal(sid).width;
-            frame[inj.port] =
-                util::flip_bit(frame[inj.port], pick_bit(inj, width), width);
+            const unsigned width = flip_width(sim, inj);
+            frame[inj.port] = util::flip_bit(frame[inj.port], pick_bit(inj), width);
             mark_fired(now);
         } else if (inj.kind == Injection::Kind::kMemoryWord) {
-            const unsigned width = sim.memory().word(inj.word_index).width;
-            sim.memory().flip_bit(inj.word_index, pick_bit(inj, width));
+            sim.memory().flip_bit(inj.word_index, pick_bit(inj));
             mark_fired(now);
         }
     }

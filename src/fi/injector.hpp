@@ -11,6 +11,11 @@
 
 namespace epea::fi {
 
+/// Width of the word `inj` flips in `sim` — the bound of its kRandomBit
+/// draws (1 for a module-input port the module does not have, which
+/// flips nothing).
+[[nodiscard]] unsigned flip_width(const runtime::Simulator& sim, const Injection& inj);
+
 class Injector {
 public:
     /// Installs this injector's hooks on `sim` (replacing earlier hooks).
@@ -40,7 +45,7 @@ private:
     void post_frame(runtime::Simulator& sim, runtime::Tick now);
     [[nodiscard]] bool due(const Injection& inj, runtime::Tick now) const noexcept;
     void mark_fired(runtime::Tick now) noexcept;
-    [[nodiscard]] unsigned pick_bit(const Injection& inj, unsigned width) noexcept;
+    [[nodiscard]] unsigned pick_bit(const Injection& inj);
 
     runtime::Simulator* sim_;
     std::vector<Injection> plan_;

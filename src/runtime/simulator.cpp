@@ -18,6 +18,7 @@ Simulator::Simulator(const model::SystemModel& model,
         const auto& spec = model.module(mid);
         Frame& f = frames_[mid.index()];
         f.inputs = spec.inputs;
+        f.outputs = spec.outputs;
         f.words.assign(spec.inputs.size(), 0U);
         f.widths.reserve(spec.inputs.size());
         for (const model::SignalId sid : spec.inputs) {
@@ -89,10 +90,11 @@ void Simulator::step_tick(std::span<const BatchFlip> flips) {
             memory_.flip_bit(flip.word_index, flip.bit);
         }
     }
-    for (const model::ModuleId mid : model_->all_modules()) {
-        Frame& f = frames_[mid.index()];
-        ModuleContext ctx{f.words, f.widths, model_->module(mid).outputs, store_, now_};
-        behaviours_[mid.index()]->step(ctx);
+    // Frames are indexed like modules, which run in declaration order.
+    for (std::size_t m = 0; m < frames_.size(); ++m) {
+        Frame& f = frames_[m];
+        ModuleContext ctx{f.words, f.widths, f.outputs, store_, now_};
+        behaviours_[m]->step(ctx);
     }
     for (auto* m : monitors_) m->observe(store_, now_);
     for (auto* r : recoverers_) r->repair(store_, now_);

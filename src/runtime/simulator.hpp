@@ -147,6 +147,7 @@ private:
         std::vector<std::uint32_t> words;     // one per input port
         std::vector<std::uint8_t> widths;     // matching signal widths
         std::vector<model::SignalId> inputs;  // signal bound to each port
+        std::vector<model::SignalId> outputs;  // signals the module writes
     };
 
     void load_frames() noexcept;

@@ -1,14 +1,19 @@
 // BatchRunner unit tests (DESIGN.md §9): lane retirement by
 // convergence-prune, by the golden end, and by attribution seal; skips
 // for injections at/after the golden end; width independence; outcome
-// equivalence against replay; and the reference path taken for
-// snapshot-free goldens and targets that cannot snapshot. Campaign-scale
-// engine-vs-replay proofs live in fastpath_equivalence_test.
+// equivalence against replay for one-shot and periodic plans, on the
+// fused kernel and on the scalar lane backend; and the reference path
+// taken for snapshot-free goldens and targets that cannot snapshot.
+// Campaign-scale engine-vs-replay proofs live in
+// fastpath_equivalence_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "alt/tank_system.hpp"
+#include "exp/arrestment_experiments.hpp"
 #include "fi/batch.hpp"
 #include "fi/comparison.hpp"
 #include "fi/fastpath.hpp"
@@ -71,6 +76,35 @@ struct BatchFixture {
         return replay_ref(sys.sim(), injector, *golden, inj);
     }
 };
+
+/// A coverage-mode outcome computed by replay: the state the run leaves
+/// in the monitors and the environment.
+fi::BatchOutcome coverage_replay(runtime::Simulator& sim, fi::Injector& injector,
+                                 const fi::Injection& inj, runtime::Tick max_ticks,
+                                 std::uint64_t seed) {
+    fi::FastPathStats stats;
+    const runtime::RunResult rr =
+        fi::replay(sim, injector, {inj}, max_ticks, seed, stats);
+    fi::BatchOutcome out;
+    out.fired = injector.fired_count() > 0;
+    out.end_tick = rr.ticks;
+    out.finished = rr.env_finished;
+    runtime::StateWriter monitors(out.monitors);
+    for (const runtime::SignalMonitor* m : sim.monitors()) m->save_state(monitors);
+    runtime::StateWriter environment(out.environment);
+    sim.environment().save_state(environment);
+    injector.disarm();
+    return out;
+}
+
+void expect_coverage_equal(const fi::BatchOutcome& lane, const fi::BatchOutcome& ref) {
+    EXPECT_EQ(lane.fired, ref.fired);
+    EXPECT_EQ(lane.end_tick, ref.end_tick);
+    EXPECT_EQ(lane.finished, ref.finished);
+    EXPECT_FALSE(lane.pruned);
+    EXPECT_EQ(lane.monitors, ref.monitors);
+    EXPECT_EQ(lane.environment, ref.environment);
+}
 
 /// A broad one-shot plan over every signal: low and high bits, early and
 /// mid-run moments — enough variety to exercise prune, golden-end and
@@ -321,19 +355,128 @@ TEST(BatchRunner, SealedLanesRetireEarlyWithExactAttribution) {
     EXPECT_LE(ablation.stats().ticks_executed, plain.stats().ticks_executed);
 }
 
-TEST(BatchRunner, PeriodicAndRandomBitPlansAreRejected) {
+TEST(BatchRunner, PeriodicPlansMatchReplay) {
+    // Severe-model plans — periodic random-bit flips into memory words —
+    // plus periodic fixed-bit signal flips, with the calibrated EA bank
+    // armed so the fused kernel steps the EAs. The lanes start from the
+    // reset-only data captured under the armed bank.
+    BatchFixture fx;
+    runtime::Simulator& sim = fx.sys.sim();
+    ea::EaBank bank =
+        exp::make_calibrated_bank(fx.sys.system(), {fx.golden->run.trace});
+    bank.arm(sim);
+    const auto reset = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_reset_data(sim, *fx.golden));
+    ASSERT_EQ(reset->boundary.size(), 1U);
+
+    struct Plan {
+        fi::Injection inj;
+        std::uint64_t seed;
+    };
+    std::vector<Plan> plans;
+    for (std::size_t w = 0; w < sim.memory().word_count(); w += 3) {
+        plans.push_back(
+            {fi::Injection::into_memory(w, fi::kRandomBit, 10, 20), 0x5e7e8eULL + w});
+    }
+    const runtime::Tick len = fx.golden->run.length;
+    for (const char* name : {"PACNT", "TIC1", "pulscnt", "SetValue"}) {
+        fi::Injection inj =
+            fi::Injection::into_signal(fx.sys.system().signal_id(name), 1, len / 8);
+        inj.period = 400;
+        plans.push_back({inj, 1});
+    }
+
+    std::vector<fi::BatchOutcome> refs;
+    for (const Plan& p : plans) {
+        refs.push_back(
+            coverage_replay(sim, fx.injector, p.inj, fx.golden->max_ticks, p.seed));
+    }
+    bool any_detected = false;
+    bool any_failed = false;
+    for (const fi::BatchOutcome& ref : refs) {
+        any_detected |= std::any_of(ref.monitors.begin(), ref.monitors.end(),
+                                    [](std::uint64_t v) { return v != 0; });
+        runtime::StateReader r(ref.environment);
+        fx.sys.plant().restore_state(r);
+        any_failed |= fx.sys.plant().failure_report().failed();
+    }
+    // The outcomes are not all the golden one: EAs fire and plants fail.
+    EXPECT_TRUE(any_detected);
+    EXPECT_TRUE(any_failed);
+
+    for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{81}}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        fi::BatchRunner batch(sim, fx.injector);
+        batch.set_mode(fi::BatchRunner::Mode::kCoverage);
+        batch.set_width(width);
+        batch.set_golden(reset);
+        std::vector<std::size_t> tickets;
+        for (const Plan& p : plans) {
+            tickets.push_back(batch.submit(p.inj, fi::BatchRunner::kNoSeal, p.seed));
+        }
+        batch.flush();
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            SCOPED_TRACE("plan " + std::to_string(i));
+            expect_coverage_equal(batch.outcome(tickets[i]), refs[i]);
+        }
+        const fi::FastPathStats& st = batch.stats();
+        EXPECT_EQ(st.lanes_launched, plans.size());
+        EXPECT_EQ(st.full_runs, plans.size());
+        EXPECT_EQ(st.lanes_retired_pruned, 0U);
+        EXPECT_EQ(st.lanes_retired_end, plans.size());
+    }
+    sim.clear_monitors();
+}
+
+TEST(BatchRunner, PeriodicPlanOnScalarLaneBackendMatchesReplay) {
+    // The tank target installs no fused backend: its lanes multiplex
+    // through the scalar simulator.
+    alt::TankSystem tank;
+    tank.configure(alt::standard_tank_scenarios().front());
+    ASSERT_EQ(tank.sim().batch_backend(), nullptr);
+    fi::Injector injector(tank.sim());
+    const fi::GoldenCaseData bare =
+        fi::capture_golden_data(tank.sim(), 20000, /*with_snapshots=*/false);
+    const auto reset = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_reset_data(tank.sim(), bare));
+
+    const fi::Injection inj = fi::Injection::into_memory(0, fi::kRandomBit, 10, 20);
+    const fi::BatchOutcome ref = coverage_replay(tank.sim(), injector, inj, 20000, 42);
+
+    fi::BatchRunner batch(tank.sim(), injector);
+    batch.set_mode(fi::BatchRunner::Mode::kCoverage);
+    batch.set_golden(reset);
+    const std::size_t ticket = batch.submit(inj, fi::BatchRunner::kNoSeal, 42);
+    batch.flush();
+    expect_coverage_equal(batch.outcome(ticket), ref);
+    EXPECT_EQ(batch.stats().lanes_launched, 1U);
+}
+
+TEST(BatchRunner, InvalidPlansAreRejected) {
     BatchFixture fx;
     fi::BatchRunner batch = fx.make_runner();
     const model::SignalId sid = fx.sys.system().all_signals().front();
-    fi::Injection periodic = fi::Injection::into_signal(sid, 0, 10);
-    periodic.period = 20;
-    EXPECT_THROW((void)batch.submit(periodic), std::invalid_argument);
-    EXPECT_THROW(
-        (void)batch.submit(fi::Injection::into_signal(sid, fi::kRandomBit, 10)),
-        std::invalid_argument);
     EXPECT_THROW((void)batch.submit(fi::Injection::into_signal(sid, 0, 10),
                                     /*seal=*/123),
                  std::invalid_argument);
+    // Random bits are drawn per firing of a periodic schedule only.
+    EXPECT_THROW(
+        (void)batch.submit(fi::Injection::into_signal(sid, fi::kRandomBit, 10)),
+        std::invalid_argument);
+
+    fi::Injection periodic = fi::Injection::into_signal(sid, 0, 10);
+    periodic.period = 20;
+    // Periodic lanes never retire on first differences.
+    EXPECT_THROW((void)batch.submit(periodic), std::invalid_argument);
+    batch.set_mode(fi::BatchRunner::Mode::kCoverage);
+    const std::uint32_t seal = batch.add_seal_rule({{sid}, {}});
+    EXPECT_THROW((void)batch.submit(periodic, seal), std::invalid_argument);
+
+    // Reset-only data has no boundary to fork a one-shot lane from.
+    batch.set_golden(std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_reset_data(fx.sys.sim(), *fx.golden)));
+    (void)batch.submit(fi::Injection::into_signal(sid, 0, 10));
+    EXPECT_THROW(batch.flush(), std::logic_error);
 }
 
 }  // namespace

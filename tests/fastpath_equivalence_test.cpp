@@ -127,12 +127,13 @@ TEST(FastpathEquivalence, SevereCoverageBitIdentical) {
     fi::FastPathStats batch_stats;
     fi::FastPathStats replay_stats;
 
-    // The batch flag is on for the first arm: periodic severe plans must
-    // still replay (no lanes launched).
+    // Cases 0-2: every periodic severe plan runs as a lane in the first
+    // arm and replays in the second. The failure class is read from the
+    // outcome's environment section, so the cases must include failures.
     exp::CampaignOptions batch_opt = tiny_campaign(true, &batch_stats);
-    batch_opt.case_count = 1;
+    batch_opt.case_count = 3;
     exp::CampaignOptions replay_opt = tiny_campaign(false, &replay_stats);
-    replay_opt.case_count = 1;
+    replay_opt.case_count = 3;
 
     const exp::SevereCoverageResult batch =
         exp::severe_coverage_experiment(sys, batch_opt, paper_subsets());
@@ -141,6 +142,7 @@ TEST(FastpathEquivalence, SevereCoverageBitIdentical) {
 
     EXPECT_EQ(batch.runs, replay.runs);
     EXPECT_EQ(batch.failures, replay.failures);
+    EXPECT_GT(batch.failures, 0U);
     ASSERT_EQ(batch.sets.size(), replay.sets.size());
     for (std::size_t s = 0; s < batch.sets.size(); ++s) {
         for (std::size_t r = 0; r < 3; ++r) {
@@ -151,11 +153,14 @@ TEST(FastpathEquivalence, SevereCoverageBitIdentical) {
             }
         }
     }
-    // Periodic plans replay by design, but the golden trace for
-    // calibration comes through the cache.
+    // Lanes start from the reset state (no forks); the golden trace for
+    // calibration comes through the cache, once per case.
+    EXPECT_EQ(batch_stats.lanes_launched, batch.runs);
     EXPECT_EQ(batch_stats.full_runs, batch.runs);
-    EXPECT_EQ(batch_stats.lanes_launched, 0U);
-    EXPECT_EQ(batch_stats.cache_misses, 1U);
+    EXPECT_EQ(batch_stats.forked_runs, 0U);
+    EXPECT_EQ(batch_stats.cache_misses, 3U);
+    EXPECT_EQ(replay_stats.lanes_launched, 0U);
+    EXPECT_EQ(replay_stats.full_runs, replay.runs);
 }
 
 TEST(FastpathEquivalence, RecoveryBitIdentical) {

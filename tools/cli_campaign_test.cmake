@@ -46,3 +46,34 @@ endif()
 if(NOT EXISTS ${DIR}/events.jsonl)
   message(FATAL_ERROR "events.jsonl missing")
 endif()
+
+# Engine equivalence for the severe model: the periodic plans run as
+# lanes by default and replay under --no-batch; the printed results must
+# match byte for byte, and the batched run must have launched lanes.
+foreach(arm batch replay)
+  set(SDIR ${WORKDIR}/cli_campaign-severe-${arm})
+  file(REMOVE_RECURSE ${SDIR})
+  set(extra "")
+  if(arm STREQUAL "replay")
+    set(extra --no-batch)
+  endif()
+  execute_process(COMMAND ${TOOL} campaign run --kind severe --cases 2 --dir ${SDIR}
+                          ${extra}
+                  OUTPUT_VARIABLE sout RESULT_VARIABLE src)
+  if(NOT src EQUAL 0)
+    message(FATAL_ERROR "severe campaign (${arm}) failed: ${src}\n${sout}")
+  endif()
+  string(FIND "${sout}" "severe model:" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "severe campaign (${arm}) printed no results:\n${sout}")
+  endif()
+  string(SUBSTRING "${sout}" ${pos} -1 ${arm}_results)
+endforeach()
+if(NOT batch_results STREQUAL replay_results)
+  message(FATAL_ERROR "severe results differ between lanes and replay:\n"
+                      "${batch_results}\n--- vs ---\n${replay_results}")
+endif()
+file(READ ${WORKDIR}/cli_campaign-severe-batch/events.jsonl severe_events)
+if(NOT severe_events MATCHES "\"lanes_launched\":[1-9]")
+  message(FATAL_ERROR "batched severe campaign launched no lanes:\n${severe_events}")
+endif()
