@@ -180,7 +180,6 @@ CampaignCheck campaign_check(const exp::CampaignOptions& options,
     fi::Injector injector(sys.sim());
     fi::BatchRunner batch(sys.sim(), injector);
     batch.set_mode(fi::BatchRunner::Mode::kPermeability);
-    fi::GoldenCache cache;
     struct Tally {
         std::size_t input = 0;
         std::size_t ticket = 0;
@@ -198,12 +197,9 @@ CampaignCheck campaign_check(const exp::CampaignOptions& options,
         sys.configure(cases[case_id]);
         injector.disarm();
         const bool snapshots = options.use_batch && sys.sim().snapshot_supported();
-        const auto golden = cache.get_or_capture(
-            fi::golden_key(snapshots ? "perm" : "trace", case_id),
-            [&] {
-                return fi::capture_golden_data(sys.sim(), options.max_ticks, snapshots);
-            },
-            nullptr);
+        batch.set_golden(nullptr);  // release the previous case's golden first
+        const auto golden = std::make_shared<const fi::GoldenCaseData>(
+            fi::capture_golden_data(sys.sim(), options.max_ticks, snapshots));
         batch.set_golden(golden);
         const fi::GoldenRun& gr = golden->run;
 

@@ -200,7 +200,6 @@ exp::CampaignOptions CampaignExecutor::case_options(std::size_t case_id) const {
 
 ShardResult CampaignExecutor::run_shard(std::size_t shard,
                                         const ExecutorOptions& exec_options,
-                                        fi::GoldenCache& cache,
                                         obs::WorkerProgress* progress) const {
     obs::Span shard_span("campaign.shard", shard);
     const auto start = std::chrono::steady_clock::now();
@@ -224,7 +223,7 @@ ShardResult CampaignExecutor::run_shard(std::size_t shard,
         const std::uint64_t runs_before = result.runs;
         exp::CampaignOptions options = case_options(case_id);
         options.use_batch = exec_options.use_batch;
-        options.golden_cache = &cache;
+        options.golden_cache = exec_options.golden_cache;
         options.fastpath_out = &result.fastpath;
         switch (spec_.kind) {
             case CampaignKind::kPermeability: {
@@ -409,13 +408,6 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
         std::mutex mutex;
         AdaptiveDecision stop_decision;
 
-        // The golden cache is shared across the worker pool (it is
-        // mutex-protected and snapshot data is value-based); an external
-        // cache additionally survives across run() calls.
-        fi::GoldenCache local_cache;
-        fi::GoldenCache& cache =
-            options.golden_cache ? *options.golden_cache : local_cache;
-
         // Adaptive stopping is checked as shards complete; with every
         // pending shard already claimed there would be nothing left to
         // skip, so one shard stays queued behind the pool.
@@ -455,7 +447,7 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
                 prog.current_shard.store(static_cast<std::int64_t>(shard),
                                          std::memory_order_relaxed);
                 prog.set_phase(obs::TimelinePhase::kExecute);
-                ShardResult result = run_shard(shard, options, cache, &prog);
+                ShardResult result = run_shard(shard, options, &prog);
                 result.threads = n_workers;
                 prog.set_phase(obs::TimelinePhase::kCheckpoint);
                 if (!dir_.empty()) {

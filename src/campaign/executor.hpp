@@ -41,9 +41,9 @@ struct ExecutorOptions {
     /// tick 0 — the reference; merged results are bit-identical either
     /// way.
     bool use_batch = true;
-    /// Shared golden cache (e.g. the opt:: evaluator's, for cross-batch
-    /// reuse); null uses a cache private to this run() call. The cache is
-    /// mutex-protected and shared across the worker pool.
+    /// Golden cache for a caller that reuses goldens across run() calls
+    /// (the opt:: evaluator); mutex-protected, shared by the worker pool.
+    /// Null scopes each case's golden data to that case.
     fi::GoldenCache* golden_cache = nullptr;
     /// Flight-recorder cadence (DESIGN.md §15): every interval the
     /// sampler thread appends one per-worker snapshot to
@@ -98,7 +98,6 @@ public:
 private:
     [[nodiscard]] ShardResult run_shard(std::size_t shard,
                                         const ExecutorOptions& options,
-                                        fi::GoldenCache& cache,
                                         obs::WorkerProgress* progress) const;
     void load_checkpoints(CampaignObserver& observer);
     [[nodiscard]] exp::CampaignOptions case_options(std::size_t case_id) const;

@@ -9,38 +9,6 @@ void ExecutableAssertion::reset() {
     violations_ = 0;
 }
 
-bool ExecutableAssertion::violates(const EaParams& p, std::int64_t previous,
-                                   std::int64_t current, bool have_previous,
-                                   runtime::Tick now) noexcept {
-    switch (p.type) {
-        case EaType::kContinuous: {
-            if (current < p.min || current > p.max) return true;
-            if (now >= p.settle_tick &&
-                (current < p.settled_min || current > p.settled_max)) {
-                return true;
-            }
-            if (!have_previous) return false;
-            const std::int64_t delta = current - previous;
-            return delta > p.max_rate_up || -delta > p.max_rate_down;
-        }
-        case EaType::kMonotonic: {
-            if (current < p.floor) return true;
-            if (!have_previous) return false;
-            if (current < previous) return true;  // must not decrease
-            return current - previous > p.max_increment;
-        }
-        case EaType::kDiscrete: {
-            if (current < 0 || current >= EaParams::kDiscreteDomain) return true;
-            if ((p.member_mask & (1U << current)) == 0) return true;
-            if (!have_previous) return false;
-            if (previous < 0 || previous >= EaParams::kDiscreteDomain) return true;
-            return (p.transition_mask[static_cast<std::size_t>(previous)] &
-                    (1U << current)) == 0;
-        }
-    }
-    return false;
-}
-
 void ExecutableAssertion::observe(const runtime::SignalStore& store, runtime::Tick now) {
     const auto value = static_cast<std::int64_t>(store.get(signal_));
     if (violates(params_, last_value_, value, have_last_, now)) {

@@ -96,6 +96,36 @@ struct EaParams {
     static constexpr std::uint32_t kDiscreteDomain = 32;
 };
 
+/// The rule of EA type `T` for one consecutive value pair — the one
+/// definition of the EA checks, run by violates() and the fused lane
+/// kernel. `now` drives the continuous EA's steady-state band.
+template <EaType T>
+[[nodiscard]] inline bool violates_as(const EaParams& p, std::int64_t previous,
+                                      std::int64_t current, bool have_previous,
+                                      runtime::Tick now) noexcept {
+    if constexpr (T == EaType::kContinuous) {
+        if (current < p.min || current > p.max) return true;
+        if (now >= p.settle_tick && (current < p.settled_min || current > p.settled_max)) {
+            return true;
+        }
+        if (!have_previous) return false;
+        const std::int64_t delta = current - previous;
+        return delta > p.max_rate_up || -delta > p.max_rate_down;
+    } else if constexpr (T == EaType::kMonotonic) {
+        if (current < p.floor) return true;
+        if (!have_previous) return false;
+        if (current < previous) return true;  // must not decrease
+        return current - previous > p.max_increment;
+    } else {
+        if (current < 0 || current >= EaParams::kDiscreteDomain) return true;
+        if ((p.member_mask & (1U << current)) == 0) return true;
+        if (!have_previous) return false;
+        if (previous < 0 || previous >= EaParams::kDiscreteDomain) return true;
+        return (p.transition_mask[static_cast<std::size_t>(previous)] &
+                (1U << current)) == 0;
+    }
+}
+
 /// One armed executable assertion guarding one signal. Implements the
 /// runtime monitor interface; evaluation happens after every tick.
 class ExecutableAssertion final : public runtime::SignalMonitor {
@@ -137,12 +167,18 @@ public:
 
     void set_params(const EaParams& params) noexcept { params_ = params; }
 
-    /// Pure check of one consecutive value pair against the parameters
-    /// (exposed for tests and for the google-benchmark overhead bench).
-    /// `now` drives the continuous EA's steady-state band.
-    [[nodiscard]] static bool violates(const EaParams& params, std::int64_t previous,
-                                       std::int64_t current, bool have_previous,
-                                       runtime::Tick now = 0) noexcept;
+    /// Pure check of one consecutive value pair: violates_as for `p.type`.
+    [[nodiscard]] static bool violates(const EaParams& p, std::int64_t prev,
+                                       std::int64_t cur, bool have,
+                                       runtime::Tick now = 0) noexcept {
+        using enum EaType;
+        switch (p.type) {
+            case kContinuous: return violates_as<kContinuous>(p, prev, cur, have, now);
+            case kMonotonic: return violates_as<kMonotonic>(p, prev, cur, have, now);
+            case kDiscrete: return violates_as<kDiscrete>(p, prev, cur, have, now);
+        }
+        return false;
+    }
 
 private:
     std::string name_;

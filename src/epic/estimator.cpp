@@ -44,8 +44,6 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
     }
     const std::size_t total_runs = case_count * total_bits * options.times_per_bit;
 
-    fi::GoldenCache local_cache;
-    fi::GoldenCache* cache = options.golden_cache ? options.golden_cache : &local_cache;
     fi::BatchRunner batch(*sim_, *injector_);
     batch.set_mode(fi::BatchRunner::Mode::kPermeability);
 
@@ -89,14 +87,15 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
         util::Rng time_rng(util::splitmix64(stream));
         configure_case(c);
         injector_->disarm();
-        // Golden run from the shared cache. For the batched engine it also
-        // carries per-tick boundary snapshots ("perm" context: no monitors
-        // armed during permeability estimation); the bare "trace" golden
-        // makes the runner replay instead.
+        // The case's golden run, freed with the case unless the caller
+        // shares a cache. For the batched engine it carries per-tick boundary
+        // snapshots ("perm" context: no monitors armed); the bare "trace"
+        // golden makes the runner replay instead.
+        batch.set_golden(nullptr);  // release the previous case's golden first
         const bool snapshots = options.use_batch && sim_->snapshot_supported();
         const std::size_t case_key = options.case_index_offset + c;
-        const auto golden = cache->get_or_capture(
-            fi::golden_key(snapshots ? "perm" : "trace", case_key),
+        const auto golden = fi::golden_for(
+            options.golden_cache, fi::golden_key(snapshots ? "perm" : "trace", case_key),
             [&] { return fi::capture_golden_data(*sim_, options.max_ticks, snapshots); },
             &fastpath_);
         batch.set_golden(golden);

@@ -39,8 +39,8 @@ struct EstimatorOptions {
     /// replays every plan from tick 0 — the reference; bit-identical
     /// results either way.
     bool use_batch = true;
-    /// Shared golden-run cache (campaign executors pass theirs so golden
-    /// data is captured once per case); null uses a private per-call cache.
+    /// Golden-run cache for a caller that reuses goldens across calls;
+    /// null captures each case's golden fresh and frees it with the case.
     fi::GoldenCache* golden_cache = nullptr;
     /// Delta campaigns: when non-empty, only the named modules are
     /// injected. The stratified time draws of skipped modules are still

@@ -43,15 +43,15 @@ struct CampaignOptions {
     ea::CalibrationMargins ea_margins{};
 
     /// Injection engine (DESIGN.md §9): run the plans of a case as
-    /// lockstep lanes — one-shot plans forked from cached golden boundary
+    /// lockstep lanes — one-shot plans forked from golden boundary
     /// snapshots, periodic severe plans from the reset state. Off replays
     /// every plan from tick 0 — the reference. The recovery driver always
     /// replays (the fused kernel refuses its ERM recoverers);
     /// bit-identical results either way.
     bool use_batch = true;
-    /// Shared golden-run cache (the campaign executor passes its own so
-    /// goldens are captured once per case across drivers and worker
-    /// threads); null uses a private per-driver cache.
+    /// Golden-run cache for a caller that reuses goldens across calls
+    /// (the opt:: evaluator); null captures each case's goldens fresh and
+    /// frees them with the case.
     fi::GoldenCache* golden_cache = nullptr;
     /// When set, drivers accumulate their injection-engine counters here.
     fi::FastPathStats* fastpath_out = nullptr;

@@ -29,13 +29,9 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
     erm::ErmBank bank;
     const std::size_t word_count = sys.sim().memory().word_count();
 
-    fi::GoldenCache local_cache;
-    fi::GoldenCache& cache =
-        options.golden_cache ? *options.golden_cache : local_cache;
     fi::FastPathStats stats;
     // The recovery experiment arms ERM recoverers, which the fused batch
-    // kernel refuses, so every run replays (DESIGN.md §9); only the
-    // golden trace for wrapper calibration is shared through the cache.
+    // kernel refuses, so every run replays (DESIGN.md §9).
 
     for (std::size_t c = case_first; c < case_first + case_count; ++c) {
         // Global-case-index keying, as in severe_coverage_experiment.
@@ -43,8 +39,8 @@ RecoveryResult recovery_experiment(target::ArrestmentSystem& sys,
         sys.configure(cases[c]);
         injector.disarm();
         sys.sim().clear_recoverers();
-        const auto bare = cache.get_or_capture(
-            fi::golden_key("trace", c),
+        const auto bare = fi::golden_for(
+            options.golden_cache, fi::golden_key("trace", c),
             [&] { return fi::capture_golden_data(sys.sim(), options.max_ticks, false); },
             &stats);
         const fi::GoldenRun& gr = bare->run;

@@ -176,6 +176,14 @@ std::size_t GoldenCache::byte_count() const {
     return bytes_;
 }
 
+std::shared_ptr<const GoldenCaseData> golden_for(
+    GoldenCache* cache, const std::string& key,
+    const std::function<GoldenCaseData()>& capture, FastPathStats* stats) {
+    if (cache != nullptr) return cache->get_or_capture(key, capture, stats);
+    if (stats) ++stats->cache_misses;
+    return std::make_shared<const GoldenCaseData>(capture());
+}
+
 runtime::RunResult replay(runtime::Simulator& sim, Injector& injector,
                           std::vector<Injection> plan, runtime::Tick max_ticks,
                           std::uint64_t seed, FastPathStats& stats) {

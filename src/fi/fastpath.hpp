@@ -3,9 +3,9 @@
 //  - GoldenCaseData / capture_golden_data: a golden run captured once per
 //    test case, optionally with per-tick boundary snapshots — the fork
 //    points and convergence references of fi::BatchRunner's lanes.
-//  - GoldenCache: a thread-safe, byte-budgeted cache of golden data keyed
-//    by (context tag, test case) — shared across experiment drivers,
-//    campaign worker threads and the opt:: subset evaluator.
+//  - golden_for / GoldenCache: golden data scoped to its case, or — for a
+//    caller that reuses it across runs (the opt:: subset evaluator) — a
+//    thread-safe, byte-budgeted cache keyed by (context tag, test case).
 //  - replay: the reference execution of one plan from tick 0, which the
 //    batched engine must reproduce bit for bit.
 #pragma once
@@ -172,6 +172,13 @@ private:
     std::size_t bytes_ = 0;
     std::uint64_t clock_ = 0;
 };
+
+/// Golden data for `key`: from `cache` when the caller reuses goldens
+/// across runs, else captured fresh and owned by the returned pointer
+/// alone — freed with its case. `stats` (optional) counts hit or miss.
+[[nodiscard]] std::shared_ptr<const GoldenCaseData> golden_for(
+    GoldenCache* cache, const std::string& key,
+    const std::function<GoldenCaseData()>& capture, FastPathStats* stats = nullptr);
 
 /// Reference execution of one injection plan: arms the injector, resets
 /// the simulator and runs it from tick 0 for at most `max_ticks` ticks.

@@ -566,6 +566,7 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
     }
 
     // ------------------------------------------------------ EAs (observe)
+    // The rule is chosen once per EA and tick; the lane loop runs it inlined.
     for (std::size_t e = 0; e < eas_.size(); ++e) {
         const EaRef& ea = eas_[e];
         const std::uint32_t* const watched = sg(ea.signal);
@@ -573,16 +574,23 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
         std::uint64_t* const have = st.monitors_row(4 * e + 1);
         std::uint64_t* const firstdet = st.monitors_row(4 * e + 2);
         std::uint64_t* const viol = st.monitors_row(4 * e + 3);
-        for (std::size_t lane = 0; lane < n; ++lane) {
-            const auto value = static_cast<std::int64_t>(watched[lane]);
-            if (ea::ExecutableAssertion::violates(
-                    ea.params, static_cast<std::int64_t>(last[lane]), value,
-                    have[lane] != 0, now)) {
-                viol[lane] += 1;
-                if (firstdet[lane] == runtime::kInvalidTick) firstdet[lane] = now;
+        const auto observe = [&]<ea::EaType T>() {
+            for (std::size_t lane = 0; lane < n; ++lane) {
+                const auto value = static_cast<std::int64_t>(watched[lane]);
+                if (ea::violates_as<T>(ea.params, static_cast<std::int64_t>(last[lane]),
+                                       value, have[lane] != 0, now)) {
+                    viol[lane] += 1;
+                    if (firstdet[lane] == runtime::kInvalidTick) firstdet[lane] = now;
+                }
+                last[lane] = static_cast<std::uint64_t>(value);
+                have[lane] = 1;
             }
-            last[lane] = static_cast<std::uint64_t>(value);
-            have[lane] = 1;
+        };
+        using enum ea::EaType;
+        switch (ea.params.type) {
+            case kContinuous: observe.template operator()<kContinuous>(); break;
+            case kMonotonic: observe.template operator()<kMonotonic>(); break;
+            case kDiscrete: observe.template operator()<kDiscrete>(); break;
         }
     }
 

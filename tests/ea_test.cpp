@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ea/assertion.hpp"
@@ -6,6 +8,7 @@
 #include "exp/arrestment_experiments.hpp"
 #include "fi/golden.hpp"
 #include "target/arrestment_system.hpp"
+#include "util/rng.hpp"
 
 namespace epea::ea {
 namespace {
@@ -80,6 +83,58 @@ TEST(DiscreteEa, MembershipAndTransitions) {
     EXPECT_TRUE(ExecutableAssertion::violates(p, 0, 4, false));  // not a member
     EXPECT_TRUE(ExecutableAssertion::violates(p, 0, 32, false));  // out of domain
     EXPECT_FALSE(ExecutableAssertion::violates(p, 9, 1, false));  // no history
+}
+
+// violates() is the per-call switch over violates_as<T>, which the fused
+// lane kernel instantiates once per EA and tick: both must give the same
+// verdict on every input, edges included.
+template <EaType T>
+void expect_violates_matches_rule(util::Rng& rng) {
+    for (int sample = 0; sample < 500; ++sample) {
+        EaParams p;
+        p.type = T;
+        p.min = rng.range(-40, 10);
+        p.max = p.min + rng.range(0, 60);
+        p.max_rate_up = rng.range(0, 20);
+        p.max_rate_down = rng.range(0, 20);
+        p.settle_tick = static_cast<std::uint32_t>(rng.range(0, 30));
+        p.settled_min = rng.range(-20, 10);
+        p.settled_max = p.settled_min + rng.range(0, 30);
+        p.floor = rng.range(-20, 10);
+        p.max_increment = rng.range(0, 10);
+        p.member_mask = static_cast<std::uint32_t>(rng());
+        for (auto& mask : p.transition_mask) mask = static_cast<std::uint32_t>(rng());
+
+        // Random pairs plus the edges: discrete domain bounds, negative
+        // history, the tick before and at settle, and no history at all.
+        std::vector<std::int64_t> values = {-1, 0, 31, 32, -25};
+        for (int k = 0; k < 6; ++k) values.push_back(rng.range(-45, 75));
+        const std::uint32_t settle = p.settle_tick;
+        const std::vector<runtime::Tick> ticks = {
+            settle == 0 ? 0 : settle - 1, settle, settle + 1,
+            static_cast<runtime::Tick>(rng.range(0, 40))};
+        for (const std::int64_t previous : values) {
+            for (const std::int64_t current : values) {
+                for (const runtime::Tick now : ticks) {
+                    for (const bool have : {false, true}) {
+                        ASSERT_EQ(ExecutableAssertion::violates(p, previous, current,
+                                                                have, now),
+                                  violates_as<T>(p, previous, current, have, now))
+                            << to_string(T) << " sample " << sample << " prev "
+                            << previous << " cur " << current << " now " << now
+                            << " have " << have;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ViolatesAs, MatchesViolatesForEveryType) {
+    util::Rng rng(0xea5eedULL);
+    expect_violates_matches_rule<EaType::kContinuous>(rng);
+    expect_violates_matches_rule<EaType::kMonotonic>(rng);
+    expect_violates_matches_rule<EaType::kDiscrete>(rng);
 }
 
 TEST(Assertion, ObserveAccumulatesDetections) {
