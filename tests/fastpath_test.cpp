@@ -182,6 +182,34 @@ TEST(GoldenCache, CountsHitsAndMisses) {
     EXPECT_EQ(cache.entry_count(), 2U);
 }
 
+TEST(GoldenFor, WithoutACacheHandsOutTheOnlyReference) {
+    fi::FastPathStats stats;
+    std::size_t captures = 0;
+    const auto factory = [&captures] {
+        ++captures;
+        return tiny_golden(10);
+    };
+    auto a = fi::golden_for(nullptr, fi::golden_key("perm", 0), factory, &stats);
+    const auto b = fi::golden_for(nullptr, fi::golden_key("perm", 0), factory, &stats);
+    EXPECT_NE(a.get(), b.get());  // nothing kept between lookups
+    EXPECT_EQ(a.use_count(), 1);
+    const std::weak_ptr<const fi::GoldenCaseData> watch = a;
+    a.reset();
+    EXPECT_TRUE(watch.expired());  // freed with the case's reference
+    EXPECT_EQ(captures, 2U);
+    EXPECT_EQ(stats.cache_hits, 0U);
+    EXPECT_EQ(stats.cache_misses, 2U);
+
+    // With a cache it delegates to get_or_capture.
+    fi::GoldenCache cache;
+    const auto c = fi::golden_for(&cache, fi::golden_key("perm", 0), factory, &stats);
+    const auto d = fi::golden_for(&cache, fi::golden_key("perm", 0), factory, &stats);
+    EXPECT_EQ(c.get(), d.get());
+    EXPECT_EQ(captures, 3U);
+    EXPECT_EQ(stats.cache_hits, 1U);
+    EXPECT_EQ(stats.cache_misses, 3U);
+}
+
 TEST(GoldenCache, EvictsLruButNeverLiveEntries) {
     // Budget below two entries: inserting the second must evict the
     // least-recently-used one — unless a live shared_ptr pins it.
