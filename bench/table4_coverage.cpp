@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
         std::printf("Table 4 — detection coverage, errors injected at system inputs\n");
         std::printf("Campaign: %zu cases x %zu times/bit\n",
                     options.campaign.case_count, options.campaign.times_per_bit);
-        std::printf("(ADC excluded: permeability ADC->IsValue is zero — nothing to "
-                    "detect; see Table 1)\n\n");
+        std::printf("(ADC excluded, as in the paper, whose Table 1 gives ADC->IsValue "
+                    "0.000; this model's value is in table1_permeability)\n\n");
     }
 
     const exp::InputCoverageResult result =

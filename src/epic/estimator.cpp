@@ -88,9 +88,10 @@ PermeabilityMatrix PermeabilityEstimator::estimate(
         configure_case(c);
         injector_->disarm();
         // The case's golden run, freed with the case unless the caller
-        // shares a cache. For the batched engine it carries per-tick boundary
-        // snapshots ("perm" context: no monitors armed); the bare "trace"
-        // golden makes the runner replay instead.
+        // shares a cache. For the batched engine it carries boundary
+        // snapshots every kPruneCheckPeriod ticks ("perm" context: no
+        // monitors armed); the bare "trace" golden makes the runner replay
+        // instead.
         batch.set_golden(nullptr);  // release the previous case's golden first
         const bool snapshots = options.use_batch && sim_->snapshot_supported();
         const std::size_t case_key = options.case_index_offset + c;

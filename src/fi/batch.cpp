@@ -68,9 +68,11 @@ void BatchRunner::flush() {
     EPEA_OBS_SAMPLED_SPAN(span, "fi.batch_flush");
     const runtime::Tick len = golden_->run.length;
     const std::size_t signal_count = golden_->run.trace.signal_count();
-    // One-shot lanes fork from boundary[at]; periodic lanes need only the
-    // reset state, boundary[0] (reset-only data, see capture_reset_data).
-    const bool every_boundary = golden_->boundary.size() > len;
+    // One-shot lanes fork from the stride boundaries and read the end
+    // state `last`; periodic lanes need only the reset state, boundary[0]
+    // (reset-only data, see capture_reset_data).
+    const bool stride_boundaries =
+        golden_->boundary.size() == len / kPruneCheckPeriod + 1 && golden_->last.tick == len;
 
     // Group by injection tick: lanes of one batch fork from nearby
     // boundary snapshots, so the sweep's tick span — and with it the
@@ -89,9 +91,9 @@ void BatchRunner::flush() {
             periodic.push_back(p);
             continue;
         }
-        if (!every_boundary) {
+        if (!stride_boundaries) {
             throw std::logic_error(
-                "BatchRunner: one-shot plans need a golden boundary at every tick");
+                "BatchRunner: one-shot plans need golden boundaries at the prune stride");
         }
         if (p.inj.at < len) {
             live.push_back(p);
@@ -105,8 +107,8 @@ void BatchRunner::flush() {
         if (mode_ == Mode::kPermeability) {
             out.first_diff.assign(signal_count, runtime::kInvalidTick);
         } else {
-            out.monitors = golden_->boundary[len].monitors;
-            out.environment = golden_->boundary[len].environment;
+            out.monitors = golden_->last.monitors;
+            out.environment = golden_->last.environment;
         }
         ++stats_.skipped_runs;
         stats_.ticks_saved += len;
@@ -185,10 +187,9 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
     }
     stats_.record_batch_width(W);
 
-    periodic_batch_ = periodic;
     lanes_.assign(W, Lane{});
+    schedule_.resize(W);  // each lane sets its own at activation
     mismatch_.assign(W, 0);
-    if (periodic) schedule_.resize(W);  // each lane sets its own at activation
     if (perm) {
         first_diff_.assign(signal_count * W, runtime::kInvalidTick);
         fd_new_.assign(W, 0);
@@ -201,10 +202,10 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
         gsig[s] = gtrace.series(model::SignalId{static_cast<std::uint32_t>(s)}).data();
     }
 
-    // Periodic lanes run from the reset state; one-shot lanes fork at
-    // their injection tick.
+    // Periodic lanes run from the reset state; a one-shot lane forks from
+    // the last stride boundary at or before its injection tick.
     const auto fork_tick = [periodic](const Pending& p) {
-        return periodic ? runtime::Tick{0} : p.inj.at;
+        return periodic ? runtime::Tick{0} : p.inj.at / kPruneCheckPeriod * kPruneCheckPeriod;
     };
     std::size_t next = 0;
     runtime::Tick t = fork_tick(batch[0]);
@@ -213,16 +214,12 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
         while (next < W && fork_tick(batch[next]) <= t) {
             const Pending& p = batch[next];
             const runtime::Tick t0 = fork_tick(p);
-            const std::size_t lane = state_.activate(boundary[t0]);
+            const std::size_t lane = state_.activate(boundary[t0 / kPruneCheckPeriod]);
             lanes_[lane] = Lane{p.ticket, t0, p.seal};
-            if (periodic) {
-                const unsigned random_width =
-                    p.inj.bit == kRandomBit ? flip_width(*sim_, p.inj) : 0U;
-                schedule_[lane] = Schedule{p.inj.at, p.inj.period, to_flip(p.inj),
-                                           random_width, util::Rng(p.seed), false};
-            } else {
-                state_.set_launch(lane, to_flip(p.inj));
-            }
+            const unsigned random_width =
+                p.inj.bit == kRandomBit ? flip_width(*sim_, p.inj) : 0U;
+            schedule_[lane] = Schedule{p.inj.at, p.inj.period, to_flip(p.inj),
+                                       random_width, util::Rng(p.seed), false};
             if (perm) {
                 for (std::size_t s = 0; s < signal_count; ++s) {
                     first_diff_[s * W + lane] = runtime::kInvalidTick;
@@ -238,7 +235,7 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
             ++next;
         }
 
-        if (periodic) launch_due(t);
+        launch_due(t);
         backend->step(state_, t);
         state_.clear_launches();
         const runtime::Tick k = t + 1;
@@ -289,12 +286,13 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
                 retire_lane(lane, k, /*finished=*/false, /*pruned=*/false,
                             /*sealed=*/true);
             } else if (!periodic && k < len && mismatch_[lane] == 0 &&
-                       k > lanes_[lane].t0 &&
                        k % kPruneCheckPeriod == 0 &&
-                       state_.lane_equals(lane, boundary[k])) {
+                       state_.lane_equals(lane, boundary[k / kPruneCheckPeriod])) {
                 // Converged: the lane's remaining evolution is the golden
                 // run's — the kernel is deterministic, so equal state
-                // implies an equal future.
+                // implies an equal future. A lane forks less than
+                // kPruneCheckPeriod ticks before its flip, so its first
+                // check already follows the launch.
                 retire_lane(lane, k, golden_->run.finished, /*pruned=*/true);
             } else if (perm && k >= len) {
                 // Attribution only reads the common trace prefix, which
@@ -320,6 +318,7 @@ void BatchRunner::launch_due(runtime::Tick now) {
             flip.bit = static_cast<unsigned>(sched.rng.below(sched.random_width));
         }
         state_.set_launch(lane, flip);
+        // A one-shot schedule (period 0) stays in the past: it fires once.
         sched.next += sched.period;
         sched.fired = true;
     }
@@ -349,7 +348,7 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
     const Lane meta = lanes_[lane];
 
     BatchOutcome& out = outcomes_[meta.ticket];
-    out.fired = !periodic_batch_ || schedule_[lane].fired;
+    out.fired = schedule_[lane].fired;
     out.pruned = pruned;
     stats_.ticks_executed += end - meta.t0;
     if (pruned) {
@@ -376,8 +375,8 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
             out.first_diff[s] = first_diff_[s * W + lane];
         }
     } else if (pruned) {
-        out.monitors = golden_->boundary[len].monitors;
-        out.environment = golden_->boundary[len].environment;
+        out.monitors = golden_->last.monitors;
+        out.environment = golden_->last.environment;
     } else {
         state_.extract_monitors(lane, out.monitors);
         out.environment.resize(state_.layout().environment);
@@ -390,7 +389,7 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
     if (lane != last) {
         lanes_[lane] = lanes_[last];
         mismatch_[lane] = mismatch_[last];
-        if (periodic_batch_) schedule_[lane] = schedule_[last];
+        schedule_[lane] = schedule_[last];
         if (mode_ == Mode::kPermeability) {
             fd_new_[lane] = fd_new_[last];
             for (std::size_t s = 0; s < signal_count; ++s) {

@@ -9,13 +9,17 @@
 // when none is installed). Retired lanes are compacted out of the hot
 // loop.
 //
-//  - One-shot plans are grouped by injection tick and fork from the
-//    golden boundary snapshot at their t0. They retire on
-//    convergence-prune (full state equality with the golden boundary),
-//    on environment finish, on the tick budget, and — in permeability
-//    mode — at the golden end, where the outcome can no longer change,
-//    or earlier when the consumer's attribution seal rule is decided
-//    (see SealRule).
+//  - One-shot plans are grouped by injection tick. A lane forks from the
+//    golden boundary at the stride floor of its injection tick,
+//    floor(at/kPruneCheckPeriod)*kPruneCheckPeriod — the prefix up to
+//    `at` is fault-free, so it replays the golden run — and launches its
+//    flip at `at` through the per-lane schedule periodic lanes use: a
+//    one-shot plan is a schedule that fires once. Once launched, it
+//    retires on convergence-prune (full state equality with the golden
+//    boundary), on environment finish, on the tick budget, and — in
+//    permeability mode — at the golden end, where the outcome can no
+//    longer change, or earlier when the consumer's attribution seal rule
+//    is decided (see SealRule).
 //  - Periodic plans (the severe model; coverage mode only) fork from the
 //    reset state, boundary[0], and launch their flip at every tick of
 //    their schedule, drawing kRandomBit bits from a per-lane Rng seeded
@@ -118,12 +122,6 @@ public:
     /// lanes the arrestment SoA state is ~200 KiB — still cache
     /// resident — and the Table-1 campaign measures fastest here.
     static constexpr std::size_t kAutoWidth = 256;
-    /// Convergence-prune confirmation cadence: full-state lane compares
-    /// are strided (one cache line per word), so they run only every
-    /// N-th tick. A converged lane evolves exactly like the golden run,
-    /// so checking late never changes an outcome — it only delays the
-    /// retirement by up to N-1 ticks.
-    static constexpr runtime::Tick kPruneCheckPeriod = 8;
 
     /// `injector` must be installed on `sim`; the reference path arms it.
     BatchRunner(runtime::Simulator& sim, Injector& injector) noexcept
@@ -139,7 +137,8 @@ public:
 
     /// Golden run of the current case; its tick budget is the runs'.
     /// Without boundary snapshots flush() takes the reference path.
-    /// Reset-only data (capture_reset_data) serves periodic plans only.
+    /// Reset-only data (capture_reset_data) serves periodic plans only:
+    /// one-shot lanes fork from the stride boundaries and read `last`.
     void set_golden(std::shared_ptr<const GoldenCaseData> golden) noexcept {
         golden_ = std::move(golden);
     }
@@ -187,8 +186,9 @@ private:
         std::uint64_t seed = 1;
         Injection inj;
     };
-    /// Flip schedule of a periodic lane: fires at `next`, then every
-    /// `period` ticks — Injector::due's rule at the same pipeline point.
+    /// Flip schedule of a lane: fires at `next`, then every `period`
+    /// ticks — Injector::due's rule at the same pipeline point. A
+    /// one-shot plan's schedule has period 0 and fires once.
     struct Schedule {
         runtime::Tick next = 0;
         runtime::Tick period = 0;
@@ -219,9 +219,8 @@ private:
     // Per-batch working state (capacity reused across batches).
     std::unique_ptr<runtime::ScalarLaneBackend> fallback_;
     runtime::BatchState state_;
-    bool periodic_batch_ = false;
     std::vector<Lane> lanes_;
-    std::vector<Schedule> schedule_;         ///< per-lane, periodic batches only
+    std::vector<Schedule> schedule_;         ///< per-lane flip schedules
     std::vector<runtime::Tick> first_diff_;  ///< [signal * width + lane]
     std::vector<std::uint8_t> mismatch_;     ///< per-lane, reset each tick
     std::vector<std::uint8_t> fd_new_;       ///< lane recorded a first diff this tick

@@ -48,12 +48,11 @@ std::size_t GoldenCaseData::approx_bytes() const noexcept {
                  sizeof(std::uint32_t);
     }
     for (const runtime::Snapshot& snap : boundary) bytes += snap.approx_bytes();
-    bytes += hash.capacity() * sizeof(std::uint64_t);
-    return bytes;
+    return bytes + last.approx_bytes();
 }
 
 GoldenCaseData capture_golden_data(runtime::Simulator& sim, runtime::Tick max_ticks,
-                                   bool with_snapshots, bool with_hashes) {
+                                   bool with_snapshots) {
     obs::Span span("fi.golden_capture", max_ticks);
     GoldenCaseData data;
     data.max_ticks = max_ticks;
@@ -61,29 +60,28 @@ GoldenCaseData capture_golden_data(runtime::Simulator& sim, runtime::Tick max_ti
     sim.reset();
     bool finished = false;
     if (with_snapshots) {
-        // Manual stepping replicating Simulator::run so boundary[t] is
-        // captured with now() == t for every t the run passes through.
-        data.boundary.reserve(max_ticks + 1);
-        if (with_hashes) data.hash.reserve(max_ticks + 1);
+        // Manual stepping replicating Simulator::run so boundary[i] is
+        // captured with now() == i*kPruneCheckPeriod for every stride
+        // tick the run passes through.
+        data.boundary.reserve(max_ticks / kPruneCheckPeriod + 1);
         // Captures go through a reused scratch whose section vectors keep
         // their capacity; the stored copy then allocates each section
-        // exactly once instead of growing it from empty every tick.
+        // exactly once instead of growing it from empty.
         runtime::Snapshot scratch;
         sim.capture_snapshot(scratch);
         data.boundary.push_back(scratch);
-        if (with_hashes) data.hash.push_back(scratch.state_hash());
         while (sim.now() < max_ticks) {
             sim.step_tick();
-            sim.capture_snapshot(scratch);
-            data.boundary.push_back(scratch);
-            if (with_hashes) data.hash.push_back(scratch.state_hash());
-            if (sim.environment().finished()) {
-                finished = true;
-                break;
+            finished = sim.environment().finished();
+            if (sim.now() % kPruneCheckPeriod == 0) {
+                sim.capture_snapshot(scratch);
+                data.boundary.push_back(scratch);
             }
+            if (finished) break;
         }
         data.boundary.shrink_to_fit();
-        data.hash.shrink_to_fit();
+        sim.capture_snapshot(scratch);
+        data.last = std::move(scratch);
         data.run.length = sim.now();
     } else {
         const runtime::RunResult rr = sim.run(max_ticks);

@@ -1,8 +1,9 @@
 // Golden data and reference replay for the injection engine (DESIGN.md §9).
 //
 //  - GoldenCaseData / capture_golden_data: a golden run captured once per
-//    test case, optionally with per-tick boundary snapshots — the fork
-//    points and convergence references of fi::BatchRunner's lanes.
+//    test case, optionally with a boundary snapshot every
+//    kPruneCheckPeriod ticks plus its end state — the fork points and
+//    convergence references of fi::BatchRunner's lanes.
 //  - golden_for / GoldenCache: golden data scoped to its case, or — for a
 //    caller that reuses it across runs (the opt:: subset evaluator) — a
 //    thread-safe, byte-budgeted cache keyed by (context tag, test case).
@@ -35,14 +36,22 @@ struct FastPathStats {
     /// ranges 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65+.
     static constexpr std::size_t kWidthBuckets = 8;
 
-    std::uint64_t full_runs = 0;     ///< runs simulated from tick 0
-    std::uint64_t forked_runs = 0;   ///< runs resumed from a golden boundary snapshot
+    /// Runs simulated from tick 0 — replays, periodic lanes, and one-shot
+    /// lanes injected before the first stride boundary (at < 8).
+    std::uint64_t full_runs = 0;
+    /// One-shot lanes forked from a golden boundary at tick > 0: the
+    /// stride floor of their injection tick, floor(at/8)*8.
+    std::uint64_t forked_runs = 0;
     /// Runs terminated early on state re-convergence; overlaps with
     /// forked_runs/full_runs (a forked run can also prune).
     std::uint64_t pruned_runs = 0;
     std::uint64_t skipped_runs = 0;  ///< runs elided (injection tick beyond golden end)
-    std::uint64_t ticks_executed = 0;  ///< (lane-)ticks actually simulated
-    std::uint64_t ticks_saved = 0;     ///< golden ticks reused instead of simulated
+    /// (Lane-)ticks actually simulated, including the up to 7 fault-free
+    /// ticks a lane runs from its stride-floor fork to its injection.
+    std::uint64_t ticks_executed = 0;
+    /// Golden ticks reused instead of simulated: the fork tick of a forked
+    /// lane, plus the ticks after a prune, a seal or a skip.
+    std::uint64_t ticks_saved = 0;
     std::uint64_t cache_hits = 0;      ///< golden-cache lookups served from memory
     std::uint64_t cache_misses = 0;    ///< golden-cache lookups that captured fresh
 
@@ -92,30 +101,37 @@ void add_fastpath_metrics(const FastPathStats& delta);
 /// FastPathStats as a JSON object (the manifest's `fastpath_stats`).
 [[nodiscard]] util::JsonObject fastpath_stats_json(const FastPathStats& stats);
 
-/// One test case's golden run, optionally with per-tick boundary
-/// snapshots: boundary[t] is the complete mutable state after t completed
-/// ticks (t = 0..run.length), hash[t] its 64-bit digest. Reset-only data
-/// (capture_reset_data) holds boundary[0] alone and no trace.
+/// Stride of the golden boundary snapshots, and with it of the batch
+/// runner's convergence-prune check: full-state lane compares are
+/// strided (one cache line per word), so they run only on multiples of
+/// the stride, and the capture keeps only the boundaries they read. A
+/// converged lane evolves exactly like the golden run, so checking late
+/// never changes an outcome — it only delays the retirement by up to
+/// kPruneCheckPeriod-1 ticks.
+inline constexpr runtime::Tick kPruneCheckPeriod = 8;
+
+/// One test case's golden run, optionally with boundary snapshots:
+/// boundary[i] is the complete mutable state after i*kPruneCheckPeriod
+/// completed ticks (i = 0..run.length/kPruneCheckPeriod), and `last` the
+/// state at run.length. Reset-only data (capture_reset_data) holds
+/// boundary[0] alone, no `last` and no trace.
 struct GoldenCaseData {
     GoldenRun run;
     runtime::Tick max_ticks = 0;  ///< tick budget the run was captured under
     std::vector<runtime::Snapshot> boundary;
-    std::vector<std::uint64_t> hash;
+    runtime::Snapshot last;
 
     [[nodiscard]] bool has_snapshots() const noexcept { return !boundary.empty(); }
     [[nodiscard]] std::size_t approx_bytes() const noexcept;
 };
 
 /// Captures a golden run from a reset. With `with_snapshots`, a boundary
-/// snapshot is stored for every tick (requires
-/// sim.snapshot_supported()). Tracing is left enabled, matching
-/// capture_golden_run. `with_hashes` additionally stores each snapshot's
-/// 64-bit digest — a determinism cross-check the campaign paths skip
-/// (the serial splitmix chain costs more than the capture itself).
+/// snapshot is stored every kPruneCheckPeriod ticks and at the run's end
+/// (requires sim.snapshot_supported()). Tracing is left enabled,
+/// matching capture_golden_run.
 [[nodiscard]] GoldenCaseData capture_golden_data(runtime::Simulator& sim,
                                                  runtime::Tick max_ticks,
-                                                 bool with_snapshots,
-                                                 bool with_hashes = false);
+                                                 bool with_snapshots);
 
 /// Reset-only golden data for periodic plans: `golden`'s run length,
 /// finish flag and tick budget, no trace, and one boundary snapshot — the

@@ -1,9 +1,11 @@
 // BatchRunner unit tests (DESIGN.md §9): lane retirement by
 // convergence-prune, by the golden end, and by attribution seal; skips
 // for injections at/after the golden end; width independence; outcome
-// equivalence against replay for one-shot and periodic plans, on the
-// fused kernel and on the scalar lane backend; and the reference path
-// taken for snapshot-free goldens and targets that cannot snapshot.
+// equivalence against replay for one-shot plans forked at the stride
+// floor and for periodic plans, on the fused kernel and on the scalar
+// lane backend; the stride-boundary shape of captured golden data; and
+// the reference path taken for snapshot-free goldens and targets that
+// cannot snapshot.
 // Campaign-scale engine-vs-replay proofs live in
 // fastpath_equivalence_test.
 #include <gtest/gtest.h>
@@ -450,6 +452,156 @@ TEST(BatchRunner, PeriodicPlanOnScalarLaneBackendMatchesReplay) {
     batch.flush();
     expect_coverage_equal(batch.outcome(ticket), ref);
     EXPECT_EQ(batch.stats().lanes_launched, 1U);
+}
+
+/// One-shot plans at every tick 0..17 (the first three stride
+/// boundaries and the ticks between them), at L-1 and at a mid-run
+/// multiple of the stride, alternating signal and module-input flips:
+/// each lane forks at the stride floor of its injection tick and runs up
+/// to kPruneCheckPeriod-1 fault-free ticks before its flip.
+std::vector<fi::Injection> stride_floor_plan(const model::SystemModel& system,
+                                             runtime::Tick len) {
+    std::vector<runtime::Tick> ticks;
+    for (runtime::Tick t = 0; t < 18; ++t) ticks.push_back(t);
+    ticks.push_back(len - 1);
+    ticks.push_back(len / 2 / fi::kPruneCheckPeriod * fi::kPruneCheckPeriod);
+    const std::vector<model::SignalId> signals = system.all_signals();
+    const auto modules = system.all_modules();
+    const auto module = *std::find_if(modules.begin(), modules.end(), [&](model::ModuleId m) {
+        return system.module(m).input_count() > 0;
+    });
+    const auto& spec = system.module(module);
+    std::vector<fi::Injection> plan;
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+        const model::SignalId sid = signals[i % signals.size()];
+        plan.push_back(fi::Injection::into_signal(
+            sid, static_cast<unsigned>(i % system.signal(sid).width), ticks[i]));
+        const auto port = static_cast<std::uint32_t>(i % spec.input_count());
+        const unsigned width = system.signal(spec.inputs[port]).width;
+        plan.push_back(fi::Injection::into_module_input(
+            module, port, static_cast<unsigned>((3 * i) % width), ticks[i]));
+    }
+    return plan;
+}
+
+/// Lanes forked at the stride floor must reproduce the reference path
+/// (replay from tick 0, via a snapshot-free golden) at widths 1, 7 and
+/// 256, in both modes, under whatever monitors `sim` has armed.
+void expect_stride_floor_forks_match_replay(runtime::Simulator& sim,
+                                            const model::SystemModel& system,
+                                            fi::Injector& injector,
+                                            runtime::Tick max_ticks) {
+    const auto golden = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_golden_data(sim, max_ticks, /*with_snapshots=*/true));
+    const auto bare = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_golden_data(sim, max_ticks, /*with_snapshots=*/false));
+    const runtime::Tick len = golden->run.length;
+    ASSERT_GT(len, 4 * fi::kPruneCheckPeriod);
+    const std::vector<fi::Injection> plan = stride_floor_plan(system, len);
+    const auto before_first_stride = static_cast<std::uint64_t>(
+        std::count_if(plan.begin(), plan.end(), [](const fi::Injection& inj) {
+            return inj.at < fi::kPruneCheckPeriod;
+        }));
+
+    for (const auto mode : {fi::BatchRunner::Mode::kPermeability,
+                            fi::BatchRunner::Mode::kCoverage}) {
+        const bool perm = mode == fi::BatchRunner::Mode::kPermeability;
+        SCOPED_TRACE(perm ? "permeability" : "coverage");
+        fi::BatchRunner ref(sim, injector);
+        ref.set_mode(mode);
+        ref.set_golden(bare);
+        for (const fi::Injection& inj : plan) (void)ref.submit(inj);
+        ref.flush();
+
+        for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+            SCOPED_TRACE("width " + std::to_string(width));
+            fi::BatchRunner batch(sim, injector);
+            batch.set_mode(mode);
+            batch.set_width(width);
+            batch.set_golden(golden);
+            for (const fi::Injection& inj : plan) (void)batch.submit(inj);
+            batch.flush();
+            for (std::size_t i = 0; i < plan.size(); ++i) {
+                SCOPED_TRACE("plan " + std::to_string(i) + " at " +
+                             std::to_string(plan[i].at));
+                const fi::BatchOutcome& lane = batch.outcome(i);
+                const fi::BatchOutcome& want = ref.outcome(i);
+                EXPECT_TRUE(lane.fired);
+                EXPECT_EQ(lane.fired, want.fired);
+                if (perm) {
+                    EXPECT_EQ(lane.first_diff, want.first_diff);
+                    if (lane.finished) {
+                        EXPECT_EQ(lane.end_tick, want.end_tick);
+                    }
+                } else {
+                    EXPECT_EQ(lane.end_tick, want.end_tick);
+                    EXPECT_EQ(lane.finished, want.finished);
+                    EXPECT_EQ(lane.monitors, want.monitors);
+                    EXPECT_EQ(lane.environment, want.environment);
+                }
+            }
+            // Plans before the first stride boundary fork from the reset
+            // state and count as full runs; the rest fork.
+            const fi::FastPathStats& st = batch.stats();
+            EXPECT_EQ(st.lanes_launched, plan.size());
+            EXPECT_EQ(st.full_runs, before_first_stride);
+            EXPECT_EQ(st.forked_runs, plan.size() - before_first_stride);
+        }
+    }
+}
+
+TEST(BatchRunner, StrideFloorForksMatchReplayOnFusedKernel) {
+    // With the calibrated EA bank armed, coverage outcomes carry monitor
+    // state as well as the plant's.
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[3]);
+    fi::Injector injector(sys.sim());
+    ASSERT_NE(sys.sim().batch_backend(), nullptr);
+    const fi::GoldenRun gr = fi::capture_golden_run(sys.sim(), target::kMaxRunTicks);
+    ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
+    bank.arm(sys.sim());
+    expect_stride_floor_forks_match_replay(sys.sim(), sys.system(), injector,
+                                           target::kMaxRunTicks);
+    sys.sim().clear_monitors();
+}
+
+TEST(BatchRunner, StrideFloorForksMatchReplayOnScalarLaneBackend) {
+    alt::TankSystem tank;
+    tank.configure(alt::standard_tank_scenarios().front());
+    fi::Injector injector(tank.sim());
+    ASSERT_EQ(tank.sim().batch_backend(), nullptr);
+    expect_stride_floor_forks_match_replay(tank.sim(), tank.system(), injector, 20000);
+}
+
+TEST(GoldenCapture, StoresStrideBoundariesAndTheEndState) {
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[0]);
+    const fi::GoldenCaseData golden =
+        fi::capture_golden_data(sys.sim(), target::kMaxRunTicks, /*with_snapshots=*/true);
+    const runtime::Tick len = golden.run.length;
+    ASSERT_EQ(golden.boundary.size(),
+              static_cast<std::size_t>(len / fi::kPruneCheckPeriod) + 1);
+    for (std::size_t i = 0; i < golden.boundary.size(); ++i) {
+        EXPECT_EQ(golden.boundary[i].tick, i * fi::kPruneCheckPeriod);
+    }
+    EXPECT_EQ(golden.last.tick, len);
+
+    // `last` is the end state of an uninterrupted run.
+    sys.sim().reset();
+    const runtime::RunResult rr = sys.sim().run(target::kMaxRunTicks);
+    EXPECT_EQ(rr.ticks, len);
+    EXPECT_EQ(rr.env_finished, golden.run.finished);
+    runtime::Snapshot end;
+    sys.sim().capture_snapshot(end);
+    EXPECT_TRUE(end.same_state(golden.last));
+
+    // At most a quarter of the per-tick form: the same trace plus one
+    // boundary snapshot for each of the len + 1 ticks.
+    const fi::GoldenCaseData bare =
+        fi::capture_golden_data(sys.sim(), target::kMaxRunTicks, /*with_snapshots=*/false);
+    const std::size_t per_tick =
+        bare.approx_bytes() + (len + 1) * golden.boundary[0].approx_bytes();
+    EXPECT_LE(4 * golden.approx_bytes(), per_tick);
 }
 
 TEST(BatchRunner, InvalidPlansAreRejected) {
