@@ -39,6 +39,7 @@ std::size_t BatchRunner::submit(const Injection& injection, std::uint32_t seal,
     if (seal != kNoSeal && seal >= seal_rules_.size()) {
         throw std::invalid_argument("BatchRunner: unknown seal rule handle");
     }
+    check_target(*sim_, injection);
     if (injection.period == 0) {
         if (injection.bit == kRandomBit) {
             throw std::invalid_argument("BatchRunner: random bits need a periodic plan");

@@ -1,15 +1,42 @@
 #include "fi/injector.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace epea::fi {
+
+void check_target(const runtime::Simulator& sim, const Injection& inj) {
+    const model::SystemModel& model = sim.system();
+    switch (inj.kind) {
+        case Injection::Kind::kSignal:
+            if (inj.signal.valid() && inj.signal.index() < model.signal_count()) return;
+            throw std::invalid_argument("injection targets no signal of the system (id " +
+                                        std::to_string(inj.signal.value) + ")");
+        case Injection::Kind::kModuleInput:
+            if (inj.module.valid() && inj.module.index() < model.module_count() &&
+                inj.port < model.module(inj.module).inputs.size()) {
+                return;
+            }
+            throw std::invalid_argument(
+                "injection targets no module input port of the system (module " +
+                std::to_string(inj.module.value) + ", port " + std::to_string(inj.port) +
+                ")");
+        case Injection::Kind::kMemoryWord:
+            if (inj.word_index < sim.memory().word_count()) return;
+            throw std::invalid_argument("injection targets no memory word (index " +
+                                        std::to_string(inj.word_index) + " of " +
+                                        std::to_string(sim.memory().word_count()) + ")");
+    }
+    throw std::invalid_argument("injection of unknown kind");
+}
 
 unsigned flip_width(const runtime::Simulator& sim, const Injection& inj) {
     switch (inj.kind) {
         case Injection::Kind::kSignal:
             return sim.signals().width(inj.signal);
         case Injection::Kind::kModuleInput: {
-            const auto& inputs = sim.system().module(inj.module).inputs;
-            return inj.port < inputs.size() ? sim.system().signal(inputs[inj.port]).width
-                                            : 1U;
+            const model::SystemModel& model = sim.system();
+            return model.signal(model.module(inj.module).inputs[inj.port]).width;
         }
         case Injection::Kind::kMemoryWord:
             return sim.memory().word(inj.word_index).width;
@@ -30,6 +57,7 @@ Injector::~Injector() {
 }
 
 void Injector::arm(std::vector<Injection> plan, std::uint64_t seed) {
+    for (const Injection& inj : plan) check_target(*sim_, inj);
     plan_ = std::move(plan);
     rng_.reseed(seed);
     fired_ = 0;
@@ -67,7 +95,6 @@ void Injector::post_frame(runtime::Simulator& sim, runtime::Tick now) {
         if (!due(inj, now)) continue;
         if (inj.kind == Injection::Kind::kModuleInput) {
             auto frame = sim.frame(inj.module);
-            if (inj.port >= frame.size()) continue;
             const unsigned width = flip_width(sim, inj);
             frame[inj.port] = util::flip_bit(frame[inj.port], pick_bit(inj), width);
             mark_fired(now);

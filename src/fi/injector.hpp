@@ -11,9 +11,13 @@
 
 namespace epea::fi {
 
+/// Throws std::invalid_argument when `inj` targets a signal, module,
+/// input port or memory word that `sim` does not have. Injector::arm and
+/// BatchRunner::submit check every plan with it.
+void check_target(const runtime::Simulator& sim, const Injection& inj);
+
 /// Width of the word `inj` flips in `sim` — the bound of its kRandomBit
-/// draws (1 for a module-input port the module does not have, which
-/// flips nothing).
+/// draws. `inj` must pass check_target.
 [[nodiscard]] unsigned flip_width(const runtime::Simulator& sim, const Injection& inj);
 
 class Injector {
@@ -28,7 +32,9 @@ public:
     Injector& operator=(const Injector&) = delete;
 
     /// Sets the plan for the next run; call sim.reset() afterwards as
-    /// usual. `seed` drives kRandomBit selections.
+    /// usual. `seed` drives kRandomBit selections. Throws
+    /// std::invalid_argument, leaving the plan unchanged, when a plan
+    /// entry fails check_target.
     void arm(std::vector<Injection> plan, std::uint64_t seed = 1);
 
     /// Clears the plan (subsequent runs are fault-free).

@@ -173,9 +173,9 @@ class Simulator;
 
 /// Advances every live lane of a BatchState by one tick. Implementations
 /// must reproduce Simulator::step_tick bit-exactly: the fused per-target
-/// kernels (src/target/batch_kernel.*) transcribe the module physics
-/// into lane loops; ScalarLaneBackend is the target-agnostic reference
-/// that multiplexes lanes through the scalar simulator.
+/// kernels (src/target/batch_kernel.*) run the target's module and plant
+/// step templates in lane loops; ScalarLaneBackend is the target-agnostic
+/// reference that multiplexes lanes through the scalar simulator.
 class BatchBackend {
 public:
     virtual ~BatchBackend() = default;

@@ -135,6 +135,9 @@ public:
     [[nodiscard]] const Trace* trace() const noexcept { return trace_.get(); }
     [[nodiscard]] Trace* trace() noexcept { return trace_.get(); }
     [[nodiscard]] Environment& environment() noexcept { return *env_; }
+    [[nodiscard]] const ModuleBehaviour& behaviour(model::ModuleId id) const {
+        return *behaviours_.at(id.index());
+    }
 
     /// Direct access to a module's frame words (used by tests and by the
     /// fault injector via MemoryMap; the frame is registered there too).

@@ -34,10 +34,6 @@ double target_retardation(const TestCase& tc) {
     return tc.engage_speed_mps * tc.engage_speed_mps / (2.0 * kNominalStopDistance);
 }
 
-double max_retardation_force_n(double mass_kg, double speed_mps) {
-    return mass_kg * kGravity * (1.0 + speed_mps / 30.0);
-}
-
 SoftwareConfig SoftwareConfig::for_test_case(const TestCase& tc,
                                              const PlantConstants& pc) {
     const double a_t = target_retardation(tc);
@@ -100,123 +96,39 @@ model::SystemModel make_arrestment_model() {
 // ------------------------------------------------------------------ Plant
 
 Plant::Plant(const model::SystemModel& system, const PlantConstants& pc)
-    : sig_pacnt_(system.signal_id("PACNT")),
-      sig_tic1_(system.signal_id("TIC1")),
-      sig_tcnt_(system.signal_id("TCNT")),
-      sig_adc_(system.signal_id("ADC")),
-      sig_toc2_(system.signal_id("TOC2")),
+    : sensors_{system.signal_id("PACNT"), system.signal_id("TIC1"),
+               system.signal_id("TCNT"), system.signal_id("ADC")},
+      actuator_(system.signal_id("TOC2")),
       pc_(pc) {}
 
-void Plant::configure(const TestCase& tc) { tc_ = tc; }
-
 void Plant::reset() {
-    speed_mps_ = tc_.engage_speed_mps;
-    distance_m_ = 0.0;
-    pressure_norm_ = 0.0;
-    cmd_norm_ = 0.0;
-    pulse_accum_ = 0.0;
-    pacnt_ = 0;
-    tic1_ = 0;
-    tcnt_ = 0;
-    settle_ = 0;
-    report_ = FailureReport{};
+    state_.fill(0);
+    state_[kSpeed] = bits(tc_.engage_speed_mps);
 }
 
-void Plant::sense(runtime::SignalStore& store, runtime::Tick /*now*/) {
-    // Brake pressure follows the valve command with a first-order lag.
-    pressure_norm_ += (cmd_norm_ - pressure_norm_) / pc_.pressure_tau_ms;
-
-    if (speed_mps_ > 0.0) {
-        const double force_n = pressure_norm_ * pc_.full_force_n;
-        const double a = force_n / tc_.mass_kg;
-        const double ratio =
-            force_n / max_retardation_force_n(tc_.mass_kg, speed_mps_);
-        report_.peak_retardation_g =
-            std::max(report_.peak_retardation_g, a / kGravity);
-        report_.peak_force_ratio = std::max(report_.peak_force_ratio, ratio);
-        if (a > pc_.retardation_limit_g * kGravity) {
-            report_.retardation_exceeded = true;
-        }
-        if (ratio >= 1.0) report_.force_exceeded = true;
-
-        speed_mps_ -= a * 0.001;
-        if (speed_mps_ <= pc_.stop_speed_mps) {
-            // The cable holds the aircraft statically from here.
-            speed_mps_ = 0.0;
-            report_.stopped = true;
-        }
-        distance_m_ += speed_mps_ * 0.001;
-    } else {
-        ++settle_;
-    }
-    report_.final_distance_m = distance_m_;
-    if (distance_m_ > pc_.runway_limit_m) report_.overran_runway = true;
-
-    // Cable-drum pulses into the 8-bit counter; TIC1 captures the timer
-    // at the most recent pulse, TCNT free-runs at tcnt_per_ms.
-    pulse_accum_ += speed_mps_ * 0.001 * pc_.pulses_per_m;
-    if (pulse_accum_ >= 1.0) {
-        const auto pulses = static_cast<std::uint32_t>(pulse_accum_);
-        pulse_accum_ -= pulses;
-        pacnt_ = (pacnt_ + pulses) & 0xffU;
-        tic1_ = tcnt_;
-    }
-    tcnt_ = (tcnt_ + static_cast<std::uint32_t>(pc_.tcnt_per_ms)) & 0xffffU;
-
-    store.set(sig_pacnt_, pacnt_);
-    store.set(sig_tic1_, tic1_);
-    store.set(sig_tcnt_, tcnt_);
-    store.set(sig_adc_, std::min<std::uint32_t>(
-                            255, static_cast<std::uint32_t>(std::lround(
-                                     std::max(0.0, pressure_norm_) * 255.0))));
+void Plant::sense(runtime::SignalStore& store, runtime::Tick now) {
+    runtime::ModuleContext io{{}, {}, sensors_, store, now};
+    sense_words(state_, io, pc_, tc_.mass_kg);
 }
 
-void Plant::actuate(const runtime::SignalStore& store, runtime::Tick /*now*/) {
-    cmd_norm_ = std::clamp(
-        static_cast<double>(store.get(sig_toc2_)) / 65535.0, 0.0, 1.0);
-}
-
-bool Plant::finished() const {
-    return report_.overran_runway ||
-           (report_.stopped && settle_ >= pc_.settle_ticks);
+FailureReport Plant::failure_report() const {
+    FailureReport r;
+    r.stopped = state_[kStopped] != 0;
+    r.final_distance_m = f64(state_[kFinalDistance]);
+    r.peak_retardation_g = f64(state_[kPeakRetardation]);
+    r.peak_force_ratio = f64(state_[kPeakForceRatio]);
+    r.retardation_exceeded = state_[kRetardationExceeded] != 0;
+    r.force_exceeded = state_[kForceExceeded] != 0;
+    r.overran_runway = state_[kOverranRunway] != 0;
+    return r;
 }
 
 void Plant::save_state(runtime::StateWriter& w) const {
-    w.f64(speed_mps_);
-    w.f64(distance_m_);
-    w.f64(pressure_norm_);
-    w.f64(cmd_norm_);
-    w.f64(pulse_accum_);
-    w.u32(pacnt_);
-    w.u32(tic1_);
-    w.u32(tcnt_);
-    w.u32(settle_);
-    w.boolean(report_.stopped);
-    w.f64(report_.final_distance_m);
-    w.f64(report_.peak_retardation_g);
-    w.f64(report_.peak_force_ratio);
-    w.boolean(report_.retardation_exceeded);
-    w.boolean(report_.force_exceeded);
-    w.boolean(report_.overran_runway);
+    for (const std::uint64_t word : state_) w.u64(word);
 }
 
 void Plant::restore_state(runtime::StateReader& r) {
-    speed_mps_ = r.f64();
-    distance_m_ = r.f64();
-    pressure_norm_ = r.f64();
-    cmd_norm_ = r.f64();
-    pulse_accum_ = r.f64();
-    pacnt_ = r.u32();
-    tic1_ = r.u32();
-    tcnt_ = r.u32();
-    settle_ = r.u32();
-    report_.stopped = r.boolean();
-    report_.final_distance_m = r.f64();
-    report_.peak_retardation_g = r.f64();
-    report_.peak_force_ratio = r.f64();
-    report_.retardation_exceeded = r.boolean();
-    report_.force_exceeded = r.boolean();
-    report_.overran_runway = r.boolean();
+    for (std::uint64_t& word : state_) word = r.u64();
 }
 
 // ------------------------------------------------------------- the system
@@ -248,7 +160,6 @@ ArrestmentSystem::ArrestmentSystem()
     sim_ = std::make_unique<runtime::Simulator>(*model_, std::move(behaviours),
                                                 *plant_);
     batch_backend_ = std::make_unique<ArrestmentBatchBackend>(*sim_);
-    batch_backend_->configure(cfg, tc, plant_->constants());
     sim_->set_batch_backend(batch_backend_.get());
 }
 
@@ -259,7 +170,6 @@ void ArrestmentSystem::configure(const TestCase& tc) {
     dist_->set_config(cfg);
     calc_->set_config(cfg);
     plant_->configure(tc);
-    batch_backend_->configure(cfg, tc, plant_->constants());
 }
 
 runtime::RunResult ArrestmentSystem::run_arrestment() {

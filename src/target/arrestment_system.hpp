@@ -6,8 +6,12 @@
 // ADC) and consumes the PWM command (TOC2).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "model/system_model.hpp"
@@ -39,7 +43,9 @@ struct TestCase {
 
 /// MIL-spec style limit on the net arresting force: the permissible hook
 /// load grows with speed and shrinks as the aircraft slows.
-[[nodiscard]] double max_retardation_force_n(double mass_kg, double speed_mps);
+[[nodiscard]] inline double max_retardation_force_n(double mass_kg, double speed_mps) {
+    return mass_kg * kGravity * (1.0 + speed_mps / 30.0);
+}
 
 /// Physical constants of the plant (brake, cable drum, runway).
 struct PlantConstants {
@@ -86,45 +92,142 @@ struct FailureReport {
 /// Builds the six-module, 25-pair signal topology of the target.
 [[nodiscard]] model::SystemModel make_arrestment_model();
 
+/// std::lround for 0 <= x < 2^31 without the libm call: x + 0.5
+/// truncates to the same integer everywhere in that range except at
+/// x = 0.5 - 2^-54, where the sum rounds up to 1.0.
+[[nodiscard]] constexpr std::uint32_t round_half_up(double x) noexcept {
+    return x < 0.5 ? 0U : static_cast<std::uint32_t>(x + 0.5);
+}
+
 /// The arrestment hardware: aircraft + cable + hydraulic brake. Produces
 /// the sensor registers each tick and integrates the command from TOC2.
+///
+/// The physics is written once, as static templates over an accessor
+/// `s` for the state words (`s[k]` is word k); the scalar Plant runs
+/// them over its own word array, the fused lane kernel over one lane's
+/// column of the SoA environment rows.
 class Plant final : public runtime::Environment {
 public:
+    /// The mutable state: one 64-bit word per variable (doubles
+    /// bit-cast, counters and flags zero-extended), in snapshot order.
+    enum Word : std::size_t {
+        kSpeed, kDistance, kPressure, kCmd, kPulseAccum, kPacnt, kTic1, kTcnt, kSettle,
+        kStopped, kFinalDistance, kPeakRetardation, kPeakForceRatio,
+        kRetardationExceeded, kForceExceeded, kOverranRunway, kWords,
+    };
+    /// sense() writes the sensor registers through `io.out(port, value)`
+    /// in this port order.
+    enum Sensor : std::size_t { kPacntPort, kTic1Port, kTcntPort, kAdcPort, kSensors };
+
     Plant(const model::SystemModel& system, const PlantConstants& pc);
 
-    void configure(const TestCase& tc);
+    void configure(const TestCase& tc) { tc_ = tc; }
 
     void reset() override;
     void sense(runtime::SignalStore& store, runtime::Tick now) override;
-    void actuate(const runtime::SignalStore& store, runtime::Tick now) override;
-    [[nodiscard]] bool finished() const override;
+    void actuate(const runtime::SignalStore& store, runtime::Tick /*now*/) override {
+        actuate_words(state_, store.get(actuator_));
+    }
+    [[nodiscard]] bool finished() const override {
+        return finished_words(state_, pc_.settle_ticks);
+    }
 
     [[nodiscard]] bool snapshot_supported() const override { return true; }
     void save_state(runtime::StateWriter& w) const override;
     void restore_state(runtime::StateReader& r) override;
 
-    [[nodiscard]] FailureReport failure_report() const { return report_; }
+    [[nodiscard]] FailureReport failure_report() const;
     [[nodiscard]] const PlantConstants& constants() const { return pc_; }
+    [[nodiscard]] const TestCase& test_case() const { return tc_; }
+    /// Signals sense() writes, in Sensor port order, and the one
+    /// actuate() reads.
+    [[nodiscard]] std::span<const model::SignalId> sensors() const { return sensors_; }
+    [[nodiscard]] model::SignalId actuator() const { return actuator_; }
+
+    template <class S, class Io>
+    static void sense_words(S& s, Io& io, const PlantConstants& pc, double mass_kg) {
+        // Brake pressure follows the valve command with a first-order lag.
+        double pressure = f64(s[kPressure]);
+        pressure += (f64(s[kCmd]) - pressure) / pc.pressure_tau_ms;
+        s[kPressure] = bits(pressure);
+
+        double speed = f64(s[kSpeed]);
+        double distance = f64(s[kDistance]);
+        if (speed > 0.0) {
+            const double force_n = pressure * pc.full_force_n;
+            const double a = force_n / mass_kg;
+            const double ratio = force_n / max_retardation_force_n(mass_kg, speed);
+            s[kPeakRetardation] = bits(std::max(f64(s[kPeakRetardation]), a / kGravity));
+            s[kPeakForceRatio] = bits(std::max(f64(s[kPeakForceRatio]), ratio));
+            if (a > pc.retardation_limit_g * kGravity) s[kRetardationExceeded] = 1;
+            if (ratio >= 1.0) s[kForceExceeded] = 1;
+
+            speed -= a * 0.001;
+            if (speed <= pc.stop_speed_mps) {
+                // The cable holds the aircraft statically from here.
+                speed = 0.0;
+                s[kStopped] = 1;
+            }
+            distance += speed * 0.001;
+            s[kSpeed] = bits(speed);
+            s[kDistance] = bits(distance);
+        } else {
+            ++s[kSettle];
+        }
+        s[kFinalDistance] = bits(distance);
+        if (distance > pc.runway_limit_m) s[kOverranRunway] = 1;
+
+        // Cable-drum pulses into the 8-bit counter; TIC1 captures the
+        // timer at the most recent pulse, TCNT free-runs at tcnt_per_ms.
+        double pulse = f64(s[kPulseAccum]);
+        pulse += speed * 0.001 * pc.pulses_per_m;
+        auto pacnt = static_cast<std::uint32_t>(s[kPacnt]);
+        auto tic1 = static_cast<std::uint32_t>(s[kTic1]);
+        auto tcnt = static_cast<std::uint32_t>(s[kTcnt]);
+        if (pulse >= 1.0) {
+            const auto pulses = static_cast<std::uint32_t>(pulse);
+            pulse -= pulses;
+            pacnt = (pacnt + pulses) & 0xffU;
+            tic1 = tcnt;
+        }
+        tcnt = (tcnt + static_cast<std::uint32_t>(pc.tcnt_per_ms)) & 0xffffU;
+        s[kPulseAccum] = bits(pulse);
+        s[kPacnt] = pacnt;
+        s[kTic1] = tic1;
+        s[kTcnt] = tcnt;
+
+        io.out(kPacntPort, pacnt);
+        io.out(kTic1Port, tic1);
+        io.out(kTcntPort, tcnt);
+        // The pressure tracks a command clamped to [0, 1], so the ADC
+        // argument stays in round_half_up's range.
+        io.out(kAdcPort, std::min<std::uint32_t>(
+                             255, round_half_up(std::max(0.0, pressure) * 255.0)));
+    }
+
+    template <class S>
+    static void actuate_words(S& s, std::uint32_t toc2) {
+        s[kCmd] = bits(std::clamp(static_cast<double>(toc2) / 65535.0, 0.0, 1.0));
+    }
+
+    template <class S>
+    [[nodiscard]] static bool finished_words(const S& s, std::uint64_t settle_ticks) {
+        return s[kOverranRunway] != 0 || (s[kStopped] != 0 && s[kSettle] >= settle_ticks);
+    }
 
 private:
-    model::SignalId sig_pacnt_;
-    model::SignalId sig_tic1_;
-    model::SignalId sig_tcnt_;
-    model::SignalId sig_adc_;
-    model::SignalId sig_toc2_;
+    [[nodiscard]] static double f64(std::uint64_t w) noexcept {
+        return std::bit_cast<double>(w);
+    }
+    [[nodiscard]] static std::uint64_t bits(double v) noexcept {
+        return std::bit_cast<std::uint64_t>(v);
+    }
+
+    std::array<model::SignalId, kSensors> sensors_;
+    model::SignalId actuator_;
     PlantConstants pc_;
     TestCase tc_;
-
-    double speed_mps_ = 0.0;
-    double distance_m_ = 0.0;
-    double pressure_norm_ = 0.0;
-    double cmd_norm_ = 0.0;
-    double pulse_accum_ = 0.0;
-    std::uint32_t pacnt_ = 0;
-    std::uint32_t tic1_ = 0;
-    std::uint32_t tcnt_ = 0;
-    std::uint32_t settle_ = 0;
-    FailureReport report_;
+    std::array<std::uint64_t, kWords> state_{};
 };
 
 class DistSModule;
@@ -154,8 +257,8 @@ private:
     std::unique_ptr<model::SystemModel> model_;
     std::unique_ptr<Plant> plant_;
     std::unique_ptr<runtime::Simulator> sim_;
-    // Fused SoA batch kernel (DESIGN.md §9), installed on sim_; must be
-    // re-parameterised alongside the modules and the plant.
+    // Fused SoA batch kernel (DESIGN.md §9), installed on sim_; it reads
+    // the configuration from the modules and the plant it binds.
     std::unique_ptr<ArrestmentBatchBackend> batch_backend_;
     // Raw views into the behaviours owned by sim_, for reconfiguration.
     DistSModule* dist_ = nullptr;

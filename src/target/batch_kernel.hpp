@@ -3,18 +3,22 @@
 // ArrestmentBatchBackend advances every live lane of a BatchState one
 // tick by running the whole tick pipeline — plant sense, launch flips,
 // frame loads, the six module behaviours, the armed EAs, plant actuate —
-// directly on the word-major lane rows, as straight-line loops with no
-// virtual dispatch, snapshot gather/scatter or trace recording. Each
-// stage transcribes the scalar implementation operation-for-operation
-// (including floating-point expression shapes), so lane state stays
+// directly on the word-major lane rows, with no virtual dispatch,
+// snapshot gather/scatter or trace recording. The plant and module
+// stages are lane loops over the step templates the scalar Simulator
+// runs (Plant::sense_words/actuate_words, <Module>::step_words),
+// instantiated over one lane's column of the rows, so lane state stays
 // bit-identical to a scalar Simulator stepped from the same snapshot.
+// What the kernel owns is the layout binding: which rows hold each
+// module's state words, frame and output signals.
 //
-// begin() re-validates the contract per batch: the arrestment model
-// (14 signals, six modules in schedule order), the registered memory
-// word layout, the Plant's 16-word state stream, and a monitor set made
-// exclusively of ExecutableAssertions. Anything else — a different
-// target, armed recoverers/ERMs, an unknown monitor type — returns
-// false, routing the batch to the target-agnostic ScalarLaneBackend.
+// begin() re-validates the contract per batch: the simulator runs the
+// arrestment Plant and the six arrestment behaviours in schedule order,
+// each module's state words and frame are registered consecutively in
+// the memory map, and the monitor set is made exclusively of
+// ExecutableAssertions. Anything else — a different target, armed
+// recoverers/ERMs, an unknown monitor type — returns false, routing the
+// batch to the target-agnostic ScalarLaneBackend.
 #pragma once
 
 #include <array>
@@ -33,24 +37,25 @@ class ArrestmentBatchBackend final : public runtime::BatchBackend {
 public:
     explicit ArrestmentBatchBackend(runtime::Simulator& sim) noexcept : sim_(&sim) {}
 
-    /// Mirrors ArrestmentSystem::configure — the kernel needs the
-    /// software-config scalars (not registered as memory words) and the
-    /// plant's test-case parameters.
-    void configure(const SoftwareConfig& cfg, const TestCase& tc,
-                   const PlantConstants& pc) noexcept {
-        cfg_ = cfg;
-        tc_ = tc;
-        pc_ = pc;
-    }
-
     [[nodiscard]] bool begin(runtime::BatchState& state) override;
     void step(runtime::BatchState& state, runtime::Tick now) override;
 
 private:
-    /// One-time resolution of signal/memory-word indices against the
-    /// simulator's model and memory map; false = not the arrestment
-    /// layout (memoized either way).
+    /// One-time binding of the modules, the plant and their rows against
+    /// the simulator; false = not the arrestment layout (memoized either
+    /// way).
     [[nodiscard]] bool resolve();
+
+    /// Rows of one stage: memory rows of a module's state words and
+    /// input frame, signal rows of its outputs (the plant uses outputs
+    /// only, for its sensor registers).
+    struct Binding {
+        std::size_t words = 0;             ///< memory word of state word 0
+        std::size_t frame = 0;             ///< memory word of input port 0
+        std::vector<std::size_t> inputs;   ///< signal loaded into each port
+        std::vector<std::size_t> outputs;  ///< signal of each output port
+        std::vector<std::uint8_t> widths;  ///< width of each output signal
+    };
 
     struct EaRef {
         std::size_t signal = 0;  ///< SignalId index the EA guards
@@ -58,40 +63,17 @@ private:
     };
 
     runtime::Simulator* sim_;
-    SoftwareConfig cfg_{};
-    TestCase tc_{};
-    PlantConstants pc_{};
-
     int resolved_ = 0;  ///< 0 = not yet, 1 = ok, -1 = unsupported layout
 
-    // Signal row indices (= SignalId index) and widths.
-    std::size_t s_pacnt_ = 0, s_tic1_ = 0, s_tcnt_ = 0, s_adc_ = 0;
-    std::size_t s_slot_ = 0, s_mscnt_ = 0, s_puls_ = 0, s_slow_ = 0, s_stop_ = 0;
-    std::size_t s_i_ = 0, s_set_ = 0, s_is_ = 0, s_out_ = 0, s_toc2_ = 0;
-    std::vector<std::uint8_t> sig_width_;
+    // The configuration the kernel reads every step comes from the bound
+    // objects themselves (re-parameterised by ArrestmentSystem::configure).
+    const Plant* plant_ = nullptr;
+    const DistSModule* dist_ = nullptr;
+    const CalcModule* calc_ = nullptr;
 
-    // Memory word indices, resolved by registration label.
-    std::size_t f_clock_i_ = 0;
-    std::size_t f_dist_pacnt_ = 0, f_dist_tic1_ = 0, f_dist_tcnt_ = 0;
-    std::size_t f_calc_i_ = 0, f_calc_mscnt_ = 0, f_calc_puls_ = 0;
-    std::size_t f_calc_slow_ = 0, f_calc_stop_ = 0;
-    std::size_t f_press_adc_ = 0;
-    std::size_t f_vreg_set_ = 0, f_vreg_is_ = 0;
-    std::size_t f_presa_out_ = 0;
-    std::size_t m_clock_mscnt_ = 0, m_clock_slot0_ = 0;
-    std::size_t m_d_prev_ = 0, m_d_puls_ = 0, m_d_bin0_ = 0, m_d_acc_ = 0;
-    std::size_t m_d_phase_ = 0, m_d_binidx_ = 0, m_d_rate_ = 0;
-    std::size_t m_d_slowdeb_ = 0, m_d_stopdeb_ = 0, m_d_latch_ = 0, m_d_delta_ = 0;
-    std::size_t m_c_prog0_ = 0, m_c_base_ = 0, m_c_cap_ = 0;
-    std::size_t m_p_buf0_ = 0, m_p_idx_ = 0, m_p_filt_ = 0, m_p_med_ = 0;
-    std::size_t m_v_integ_ = 0, m_v_prev_ = 0, m_v_err_ = 0;
-    std::size_t m_a_cmd_ = 0, m_a_tgt_ = 0;
-    std::vector<std::uint8_t> mem_width_;
-
-    // Frame word index per (module, port) for kFrame launch flips.
-    std::vector<std::vector<std::size_t>> frame_word_;
-    std::vector<std::vector<std::uint8_t>> frame_width_;
-    std::vector<std::vector<std::size_t>> frame_src_;  ///< signal index per (module, port)
+    std::array<Binding, 6> modules_;  ///< in schedule order
+    Binding sensors_;                 ///< the plant's sensor registers
+    std::size_t actuator_ = 0;        ///< signal the plant actuates from
 
     // Armed EAs, refreshed every begin() (params are re-calibrated per
     // test case and monitors re-armed per experiment).

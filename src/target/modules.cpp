@@ -1,113 +1,29 @@
 #include "target/modules.hpp"
 
-#include <algorithm>
 #include <string>
 
 namespace epea::target {
 
-namespace {
-
-[[nodiscard]] constexpr std::int32_t clampi(std::int32_t v, std::int32_t lo,
-                                            std::int32_t hi) noexcept {
-    return v < lo ? lo : (v > hi ? hi : v);
+void register_words(runtime::InitContext& ctx, std::string_view module,
+                    std::span<const WordBlock> blocks, std::uint32_t* words) {
+    for (const WordBlock& b : blocks) {
+        for (std::size_t k = 0; k < b.count; ++k) {
+            std::string label = std::string(module) + "." + b.stem;
+            if (b.count > 1) label += "[" + std::to_string(k) + "]";
+            if (b.region == runtime::Region::kRam) {
+                ctx.ram(std::move(label), words + b.first + k, b.width);
+            } else {
+                ctx.stack(std::move(label), words + b.first + k, b.width);
+            }
+        }
+    }
 }
-
-}  // namespace
 
 // ------------------------------------------------------------------ CLOCK
 
-void ClockModule::init(runtime::InitContext& ctx) {
-    ctx.ram("CLOCK.mscnt", &mscnt_, 16);
-    for (std::size_t k = 0; k < slot_map_.size(); ++k) {
-        ctx.ram("CLOCK.slot_map[" + std::to_string(k) + "]", &slot_map_[k], 8);
-    }
-}
-
 void ClockModule::reset() {
-    mscnt_ = 0;
-    for (std::size_t k = 0; k < slot_map_.size(); ++k) {
-        slot_map_[k] = static_cast<std::uint32_t>(k);
-    }
-}
-
-void ClockModule::step(runtime::ModuleContext& ctx) {
-    mscnt_ = (mscnt_ + 1) & 0xffffU;
-    ctx.out(0, slot_map_[ctx.in(0) % kSlots] & 0xffU);
-    ctx.out(1, mscnt_);
-}
-
-// ----------------------------------------------------------------- DIST_S
-
-void DistSModule::init(runtime::InitContext& ctx) {
-    ctx.ram("DIST_S.prev", &prev_, 8);
-    ctx.ram("DIST_S.pulscnt", &pulscnt_, 16);
-    for (std::size_t k = 0; k < bins_.size(); ++k) {
-        ctx.ram("DIST_S.bin[" + std::to_string(k) + "]", &bins_[k], 8);
-    }
-    ctx.ram("DIST_S.acc", &acc_, 8);
-    ctx.ram("DIST_S.phase", &phase_, 8);
-    ctx.ram("DIST_S.bin_idx", &bin_idx_, 8);
-    ctx.ram("DIST_S.rate", &rate_, 16);
-    ctx.ram("DIST_S.slow_deb", &slow_deb_, 8);
-    ctx.ram("DIST_S.stop_deb", &stop_deb_, 8);
-    ctx.ram("DIST_S.stop_latch", &stop_latch_, 8);
-    ctx.stack("DIST_S.delta", &delta_scratch_, 8);
-}
-
-void DistSModule::reset() {
-    prev_ = 0;
-    pulscnt_ = 0;
-    bins_.fill(0);
-    acc_ = 0;
-    phase_ = 0;
-    bin_idx_ = 0;
-    rate_ = 0;
-    slow_deb_ = 0;
-    stop_deb_ = 0;
-    stop_latch_ = 0;
-    first_ = true;
-}
-
-void DistSModule::step(runtime::ModuleContext& ctx) {
-    // Wrap-around decode of the 8-bit pulse counter; the first invocation
-    // only captures the baseline.
-    const std::uint32_t cnt = ctx.in(0);
-    std::uint32_t delta = (cnt - prev_) & 0xffU;
-    if (first_) {
-        delta = 0;
-        first_ = false;
-    }
-    prev_ = cnt & 0xffU;
-    if (delta > kMaxPlausibleDelta) delta = kMaxPlausibleDelta;
-    delta_scratch_ = delta;
-
-    pulscnt_ = (pulscnt_ + delta_scratch_) & 0xffffU;
-
-    // Windowed rate: pulses over the last kBins x kBinMs = 128 ms.
-    acc_ = (acc_ + delta_scratch_) & 0xffU;
-    phase_ = (phase_ + 1) & 0xffU;
-    if (phase_ >= kBinMs) {
-        phase_ = 0;
-        const std::uint32_t bi = bin_idx_ % kBins;
-        rate_ = (rate_ + acc_ - bins_[bi]) & 0xffffU;
-        bins_[bi] = acc_;
-        acc_ = 0;
-        bin_idx_ = (bi + 1) % kBins;
-    }
-    slow_deb_ = rate_ < kSlowRateThreshold
-                    ? std::min<std::uint32_t>(slow_deb_ + 1, 255)
-                    : 0;
-
-    // Stopped: the last pulse capture (TIC1) is older than the configured
-    // age on the free-running timer (TCNT). Debounced, then latched.
-    const std::uint32_t age = (ctx.in(2) - ctx.in(1)) & 0xffffU;
-    stop_deb_ =
-        age > cfg_.stop_age_counts ? std::min<std::uint32_t>(stop_deb_ + 1, 255) : 0;
-    if (stop_deb_ >= kStopDebounce) stop_latch_ = 1;
-
-    ctx.out(0, pulscnt_);
-    ctx.out_bool(1, slow_deb_ >= kSlowDebounce);
-    ctx.out_bool(2, stop_latch_ != 0);
+    w_.fill(0);
+    for (std::uint32_t k = 0; k < kSlots; ++k) w_[kSlotMap + k] = k;
 }
 
 // ------------------------------------------------------------------- CALC
@@ -129,149 +45,14 @@ void CalcModule::set_config(const SoftwareConfig& cfg) {
 }
 
 void CalcModule::rebuild_program() {
-    for (std::size_t k = 0; k < prog_.size(); ++k) {
-        prog_[k] = cfg_.plateau_pressure * kProgramPct[k] / 100;
+    for (std::uint32_t k = 0; k < kProgSteps; ++k) {
+        w_[kProg + k] = cfg_.plateau_pressure * kProgramPct[k] / 100;
     }
 }
 
-void CalcModule::init(runtime::InitContext& ctx) {
-    for (std::size_t k = 0; k < prog_.size(); ++k) {
-        ctx.ram("CALC.prog[" + std::to_string(k) + "]", &prog_[k], 16);
-    }
-    ctx.stack("CALC.base", &base_scratch_, 16);
-    ctx.stack("CALC.cap", &cap_scratch_, 16);
-}
-
-void CalcModule::reset() { rebuild_program(); }
-
-void CalcModule::step(runtime::ModuleContext& ctx) {
-    const std::uint32_t i_in = ctx.in(0) & 0xffffU;
-    const std::uint32_t mscnt = ctx.in(1) & 0xffffU;
-    const std::uint32_t pulscnt = ctx.in(2) & 0xffffU;
-    const bool slow = ctx.in_bool(3);
-    const bool stopped = ctx.in_bool(4);
-
-    // Distance index: one ratchet step per tick towards pulscnt/32,
-    // frozen once the aircraft is stopped.
-    const std::uint32_t dist_target = pulscnt >> 5;
-    std::uint32_t i_next = i_in;
-    if (!stopped && dist_target > i_in) i_next = (i_in + 1) & 0xffffU;
-    ctx.out(0, i_next);
-
-    // Time-programmed base pressure, tapered towards slow pressure as the
-    // predicted stop time approaches.
-    std::uint32_t base = prog_[std::min<std::uint32_t>(mscnt >> 9, kProgSteps - 1) %
-                               kProgSteps];
-    if (mscnt >= cfg_.taper_end_ms) {
-        const std::uint32_t rem = mscnt - cfg_.taper_end_ms;
-        const std::uint32_t floor_p = cfg_.slow_pressure + kTaperFloorMargin;
-        if (base > floor_p) {
-            base = rem >= kTaperMs
-                       ? floor_p
-                       : floor_p + (base - floor_p) * (kTaperMs - rem) / kTaperMs;
-        }
-    }
-    base_scratch_ = base;
-
-    // Soft start: cap by travelled distance (the view of i in the frame,
-    // not the freshly ratcheted value — the cap is a function of this
-    // invocation's inputs only).
-    cap_scratch_ = cfg_.plateau_pressure *
-                   (16 + std::min<std::uint32_t>(i_in, 32)) / 32;
-
-    std::uint32_t set = std::min(base_scratch_, cap_scratch_);
-    if (slow) set = cfg_.slow_pressure;
-    if (mscnt >= cfg_.emergency_ms) set = 0;
-    ctx.out(1, set & 0xffffU);
-}
-
-// ----------------------------------------------------------------- PRES_S
-
-void PresSModule::init(runtime::InitContext& ctx) {
-    for (std::size_t k = 0; k < buf_.size(); ++k) {
-        ctx.ram("PRES_S.buf[" + std::to_string(k) + "]", &buf_[k], 8);
-    }
-    ctx.ram("PRES_S.idx", &idx_, 8);
-    ctx.ram("PRES_S.filt", &filt_, 16);
-    ctx.stack("PRES_S.med", &med_scratch_, 8);
-}
-
-void PresSModule::reset() {
-    buf_.fill(0);
-    idx_ = 0;
-    filt_ = 0;
-}
-
-void PresSModule::step(runtime::ModuleContext& ctx) {
-    buf_[idx_ % kTaps] = ctx.in(0) & 0xffU;
-    idx_ = (idx_ + 1) % kTaps;
-    std::array<std::uint32_t, kTaps> sorted = buf_;
-    std::sort(sorted.begin(), sorted.end());
-    med_scratch_ = sorted[kTaps / 2];
-
-    const auto target = static_cast<std::int32_t>(med_scratch_ * 4);
-    const auto prev = static_cast<std::int32_t>(filt_);
-    const std::int32_t delta = clampi(target - prev, -kMaxSlewPerMs, kMaxSlewPerMs);
-    filt_ = static_cast<std::uint32_t>(prev + delta) & 0xffffU;
-    ctx.out(0, filt_);
-}
-
-// ------------------------------------------------------------------ V_REG
-
-void VRegModule::init(runtime::InitContext& ctx) {
-    ctx.ram("V_REG.integ", &integ_, 16);
-    ctx.ram("V_REG.prev_out", &prev_out_, 16);
-    ctx.stack("V_REG.err", &err_scratch_, 16);
-}
-
-void VRegModule::reset() {
-    integ_ = 0;
-    prev_out_ = 0;
-}
-
-void VRegModule::step(runtime::ModuleContext& ctx) {
-    const auto set = static_cast<std::int32_t>(ctx.in(0) & 0xffffU);
-    const auto is = static_cast<std::int32_t>(ctx.in(1) & 0xffffU);
-
-    std::int32_t err = set - is;
-    if (err >= -kDeadband && err <= kDeadband) err = 0;
-    err_scratch_ = static_cast<std::uint32_t>(err) & 0xffffU;
-    const std::int32_t err_db = util::sign_extend(err_scratch_, 16);
-
-    // Integrate outside the deadband, but not against a saturated output
-    // (wind-up protection).
-    const bool saturated_low = prev_out_ == 0 && err_db < 0;
-    const bool saturated_high = prev_out_ == 0xffffU && err_db > 0;
-    std::int32_t integ = util::sign_extend(integ_, 16);
-    if (!saturated_low && !saturated_high) {
-        integ = clampi(integ + err_db / 4, -kIntegLimit, kIntegLimit);
-    }
-    integ_ = static_cast<std::uint32_t>(integ) & 0xffffU;
-
-    const std::int32_t ff = (set >> 2) * 256;
-    const std::int32_t u = ff + err_db * 16 + integ * 4;
-    prev_out_ = static_cast<std::uint32_t>(clampi(u, 0, 65535));
-    ctx.out(0, prev_out_);
-}
-
-// ----------------------------------------------------------------- PRES_A
-
-void PresAModule::init(runtime::InitContext& ctx) {
-    ctx.ram("PRES_A.cmd", &cmd_, 16);
-    ctx.stack("PRES_A.tgt", &tgt_scratch_, 16);
-}
-
-void PresAModule::reset() { cmd_ = 0; }
-
-void PresAModule::step(runtime::ModuleContext& ctx) {
-    tgt_scratch_ = ctx.in(0) & 0xffffU;
-    const std::int32_t diff = static_cast<std::int32_t>(tgt_scratch_) -
-                              static_cast<std::int32_t>(cmd_);
-    cmd_ = static_cast<std::uint32_t>(
-               static_cast<std::int32_t>(cmd_) +
-               clampi(diff, -kMaxSlewPerMs, kMaxSlewPerMs)) &
-           0xffffU;
-    ctx.out(0, cmd_ & kPwmMask);
+void CalcModule::reset() {
+    w_.fill(0);
+    rebuild_program();
 }
 
 }  // namespace epea::target

@@ -3,9 +3,11 @@
 // for injections at/after the golden end; width independence; outcome
 // equivalence against replay for one-shot plans forked at the stride
 // floor and for periodic plans, on the fused kernel and on the scalar
-// lane backend; the stride-boundary shape of captured golden data; and
-// the reference path taken for snapshot-free goldens and targets that
-// cannot snapshot.
+// lane backend; a fused-kernel lane against the scalar simulator's whole
+// state after every tick; the stride-boundary shape of captured golden
+// data; the rejection of plans that target what the system does not
+// have; and the reference path taken for snapshot-free goldens and
+// targets that cannot snapshot.
 // Campaign-scale engine-vs-replay proofs live in
 // fastpath_equivalence_test.
 #include <gtest/gtest.h>
@@ -376,7 +378,7 @@ TEST(BatchRunner, PeriodicPlansMatchReplay) {
         std::uint64_t seed;
     };
     std::vector<Plan> plans;
-    for (std::size_t w = 0; w < sim.memory().word_count(); w += 3) {
+    for (std::size_t w = 0; w < sim.memory().word_count(); ++w) {
         plans.push_back(
             {fi::Injection::into_memory(w, fi::kRandomBit, 10, 20), 0x5e7e8eULL + w});
     }
@@ -456,11 +458,14 @@ TEST(BatchRunner, PeriodicPlanOnScalarLaneBackendMatchesReplay) {
 
 /// One-shot plans at every tick 0..17 (the first three stride
 /// boundaries and the ticks between them), at L-1 and at a mid-run
-/// multiple of the stride, alternating signal and module-input flips:
-/// each lane forks at the stride floor of its injection tick and runs up
-/// to kPruneCheckPeriod-1 fault-free ticks before its flip.
-std::vector<fi::Injection> stride_floor_plan(const model::SystemModel& system,
+/// multiple of the stride, alternating signal and module-input flips,
+/// plus one fixed-bit flip of every registered memory word, cycling over
+/// the same ticks: each lane forks at the stride floor of its injection
+/// tick and runs up to kPruneCheckPeriod-1 fault-free ticks before its
+/// flip.
+std::vector<fi::Injection> stride_floor_plan(const runtime::Simulator& sim,
                                              runtime::Tick len) {
+    const model::SystemModel& system = sim.system();
     std::vector<runtime::Tick> ticks;
     for (runtime::Tick t = 0; t < 18; ++t) ticks.push_back(t);
     ticks.push_back(len - 1);
@@ -481,6 +486,11 @@ std::vector<fi::Injection> stride_floor_plan(const model::SystemModel& system,
         plan.push_back(fi::Injection::into_module_input(
             module, port, static_cast<unsigned>((3 * i) % width), ticks[i]));
     }
+    for (std::size_t w = 0; w < sim.memory().word_count(); ++w) {
+        const auto bit = static_cast<unsigned>(w % sim.memory().word(w).width);
+        plan.push_back(
+            fi::Injection::into_memory(w, bit, ticks[w % ticks.size()], /*period=*/0));
+    }
     return plan;
 }
 
@@ -488,7 +498,6 @@ std::vector<fi::Injection> stride_floor_plan(const model::SystemModel& system,
 /// (replay from tick 0, via a snapshot-free golden) at widths 1, 7 and
 /// 256, in both modes, under whatever monitors `sim` has armed.
 void expect_stride_floor_forks_match_replay(runtime::Simulator& sim,
-                                            const model::SystemModel& system,
                                             fi::Injector& injector,
                                             runtime::Tick max_ticks) {
     const auto golden = std::make_shared<const fi::GoldenCaseData>(
@@ -497,7 +506,7 @@ void expect_stride_floor_forks_match_replay(runtime::Simulator& sim,
         fi::capture_golden_data(sim, max_ticks, /*with_snapshots=*/false));
     const runtime::Tick len = golden->run.length;
     ASSERT_GT(len, 4 * fi::kPruneCheckPeriod);
-    const std::vector<fi::Injection> plan = stride_floor_plan(system, len);
+    const std::vector<fi::Injection> plan = stride_floor_plan(sim, len);
     const auto before_first_stride = static_cast<std::uint64_t>(
         std::count_if(plan.begin(), plan.end(), [](const fi::Injection& inj) {
             return inj.at < fi::kPruneCheckPeriod;
@@ -560,9 +569,60 @@ TEST(BatchRunner, StrideFloorForksMatchReplayOnFusedKernel) {
     const fi::GoldenRun gr = fi::capture_golden_run(sys.sim(), target::kMaxRunTicks);
     ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
     bank.arm(sys.sim());
-    expect_stride_floor_forks_match_replay(sys.sim(), sys.system(), injector,
-                                           target::kMaxRunTicks);
+    expect_stride_floor_forks_match_replay(sys.sim(), injector, target::kMaxRunTicks);
     sys.sim().clear_monitors();
+}
+
+TEST(ArrestmentBatchBackend, LaneTracksTheScalarSimulatorEveryTick) {
+    // The fused kernel and the scalar Simulator run the same module and
+    // plant code; a lane stepped beside the simulator must hold its whole
+    // state (signals, every memory word, the DIST_S latch, the plant and
+    // the armed EAs) after every tick, through a flip of every memory
+    // word and of one frame port.
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[3]);
+    runtime::Simulator& sim = sys.sim();
+    const fi::GoldenRun gr = fi::capture_golden_run(sim, target::kMaxRunTicks);
+    ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
+    bank.arm(sim);
+    sim.reset();
+    runtime::Snapshot snap;
+    sim.capture_snapshot(snap);
+    runtime::BatchState state;
+    state.reset(runtime::SnapshotLayout::of(snap), 3);
+    runtime::BatchBackend* kernel = sim.batch_backend();
+    ASSERT_TRUE(kernel->begin(state));
+    ASSERT_EQ(state.activate(snap), 0U);
+
+    const std::size_t words = sim.memory().word_count();
+    runtime::Tick t = 0;
+    for (; t < target::kMaxRunTicks; ++t) {
+        std::vector<runtime::BatchFlip> flips;
+        if (t % 40 == 5 && t / 40 <= words) {
+            runtime::BatchFlip f;
+            if (t / 40 < words) {
+                f.point = runtime::BatchFlip::Point::kMemory;
+                f.word_index = t / 40;
+            } else {
+                f.point = runtime::BatchFlip::Point::kFrame;
+                f.module = sys.system().module_id("V_REG");
+                f.port = 1;
+            }
+            f.bit = static_cast<unsigned>(t % 7);
+            flips.push_back(f);
+            state.set_launch(0, f);
+        }
+        kernel->step(state, t);
+        state.clear_launches();
+        sim.step_tick(flips);
+        sim.capture_snapshot(snap);
+        ASSERT_TRUE(state.lane_equals(0, snap)) << "tick " << t;
+        ASSERT_EQ(state.finished(0), sim.environment().finished()) << "tick " << t;
+        if (state.finished(0)) break;
+    }
+    EXPECT_TRUE(state.finished(0));
+    EXPECT_GT(t, 40 * (words + 1));  // every flip was made
+    sim.clear_monitors();
 }
 
 TEST(BatchRunner, StrideFloorForksMatchReplayOnScalarLaneBackend) {
@@ -570,7 +630,7 @@ TEST(BatchRunner, StrideFloorForksMatchReplayOnScalarLaneBackend) {
     tank.configure(alt::standard_tank_scenarios().front());
     fi::Injector injector(tank.sim());
     ASSERT_EQ(tank.sim().batch_backend(), nullptr);
-    expect_stride_floor_forks_match_replay(tank.sim(), tank.system(), injector, 20000);
+    expect_stride_floor_forks_match_replay(tank.sim(), injector, 20000);
 }
 
 TEST(GoldenCapture, StoresStrideBoundariesAndTheEndState) {
@@ -623,6 +683,33 @@ TEST(BatchRunner, InvalidPlansAreRejected) {
     batch.set_mode(fi::BatchRunner::Mode::kCoverage);
     const std::uint32_t seal = batch.add_seal_rule({{sid}, {}});
     EXPECT_THROW((void)batch.submit(periodic, seal), std::invalid_argument);
+
+    // Targets the system does not have: rejected here and by the
+    // injector that replays plans, before any lane or run starts.
+    const model::SystemModel& system = fx.sys.system();
+    const auto calc = system.module_id("CALC");
+    fi::Injection periodic_out_of_range = fi::Injection::into_signal(
+        model::SignalId{static_cast<std::uint32_t>(system.signal_count())}, 0, 10);
+    periodic_out_of_range.period = 20;
+    const std::vector<fi::Injection> out_of_range = {
+        fi::Injection::into_memory(fx.sys.sim().memory().word_count(), 0, 100, 0),
+        fi::Injection::into_memory(fx.sys.sim().memory().word_count(), fi::kRandomBit, 10,
+                                   20),
+        fi::Injection::into_signal(
+            model::SignalId{static_cast<std::uint32_t>(system.signal_count())}, 0, 10),
+        fi::Injection::into_signal(model::SignalId{}, 0, 10),
+        periodic_out_of_range,
+        fi::Injection::into_module_input(
+            calc, static_cast<std::uint32_t>(system.module(calc).input_count()), 0, 10),
+        fi::Injection::into_module_input(
+            model::ModuleId{static_cast<std::uint32_t>(system.module_count())}, 0, 0, 10),
+    };
+    for (const fi::Injection& inj : out_of_range) {
+        EXPECT_THROW((void)batch.submit(inj), std::invalid_argument);
+        EXPECT_THROW(fx.injector.arm({inj}), std::invalid_argument);
+    }
+    batch.flush();  // nothing was queued
+    EXPECT_EQ(batch.stats().lanes_launched, 0U);
 
     // Reset-only data has no boundary to fork a one-shot lane from.
     batch.set_golden(std::make_shared<const fi::GoldenCaseData>(

@@ -1,8 +1,12 @@
 // Unit tests for the six module behaviours, driven directly through a
 // minimal harness (no plant): each module is exercised against hand-fed
-// frame inputs.
+// frame inputs. The step helpers the modules and the plant share are
+// pinned against the library forms they replace (std::sort, std::lround).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <memory>
 
 #include "runtime/simulator.hpp"
@@ -413,6 +417,41 @@ TEST(PresAModule, ReachesTargetEventually) {
     h.set_in(0, 10000);
     for (int k = 0; k < 10; ++k) h.step();
     EXPECT_EQ(h.out(0), 10000U & PresAModule::kPwmMask);
+}
+
+// ---------------------------------------------------- shared step helpers
+
+TEST(Median5, MatchesTheMiddleOfTheSortedTaps) {
+    // Every 5-tuple over a small alphabet covers ties and all orders.
+    for (std::uint32_t code = 0; code < 6 * 6 * 6 * 6 * 6; ++code) {
+        std::array<std::uint32_t, 5> taps{};
+        std::uint32_t c = code;
+        for (auto& t : taps) {
+            t = (c % 6) * 51;
+            c /= 6;
+        }
+        std::array<std::uint32_t, 5> sorted = taps;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(median5(taps[0], taps[1], taps[2], taps[3], taps[4]), sorted[2])
+            << "code " << code;
+    }
+}
+
+TEST(RoundHalfUp, MatchesLroundOnTheAdcRange) {
+    std::vector<double> xs = {0.0, 0.25, 0.5, 1.5, 2.5, 127.5, 254.5, 255.0,
+                              std::nextafter(0.5, 0.0)};
+    for (int k = 0; k <= 255; ++k) {
+        for (const double x : {k + 0.5, static_cast<double>(k)}) {
+            xs.push_back(x);
+            xs.push_back(std::nextafter(x, 0.0));
+            xs.push_back(std::nextafter(x, 300.0));
+        }
+    }
+    // ADC arguments as the plant forms them: pressure in [0, 1] x 255.
+    for (int i = 0; i <= 100000; ++i) xs.push_back(i / 100000.0 * 255.0);
+    for (const double x : xs) {
+        EXPECT_EQ(round_half_up(x), static_cast<std::uint32_t>(std::lround(x))) << x;
+    }
 }
 
 }  // namespace

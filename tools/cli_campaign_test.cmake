@@ -77,3 +77,52 @@ file(READ ${WORKDIR}/cli_campaign-severe-batch/events.jsonl severe_events)
 if(NOT severe_events MATCHES "\"lanes_launched\":[1-9]")
   message(FATAL_ERROR "batched severe campaign launched no lanes:\n${severe_events}")
 endif()
+
+# Engine equivalence for permeability: the same tiny campaign batched and
+# with --no-batch must merge to byte-identical CSVs, and the batched run
+# reports its forks and lanes in events.jsonl, status and metrics.
+foreach(arm batch replay)
+  set(PDIR ${WORKDIR}/cli_campaign-perm-${arm})
+  file(REMOVE_RECURSE ${PDIR})
+  set(extra "")
+  if(arm STREQUAL "replay")
+    set(extra --no-batch)
+  endif()
+  execute_process(COMMAND ${TOOL} campaign run --dir ${PDIR} --cases 2 --times 1
+                          --out ${PDIR}.csv ${extra}
+                  OUTPUT_VARIABLE pout RESULT_VARIABLE prc)
+  if(NOT prc EQUAL 0)
+    message(FATAL_ERROR "permeability campaign (${arm}) failed: ${prc}\n${pout}")
+  endif()
+endforeach()
+set(PBATCH ${WORKDIR}/cli_campaign-perm-batch)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${PBATCH}.csv ${WORKDIR}/cli_campaign-perm-replay.csv
+                RESULT_VARIABLE cmp_rc)
+if(NOT cmp_rc EQUAL 0)
+  message(FATAL_ERROR "batched and --no-batch permeability CSVs differ")
+endif()
+file(READ ${PBATCH}/events.jsonl perm_events)
+foreach(key forked_runs lanes_launched)
+  string(FIND "${perm_events}" "\"${key}\"" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "batched events.jsonl has no \"${key}\":\n${perm_events}")
+  endif()
+endforeach()
+execute_process(COMMAND ${TOOL} campaign status --dir ${PBATCH}
+                OUTPUT_VARIABLE pstatus RESULT_VARIABLE pstatus_rc)
+if(NOT pstatus_rc EQUAL 0)
+  message(FATAL_ERROR "campaign status (batched permeability) failed: ${pstatus_rc}")
+endif()
+foreach(line "fast path:" "batch lanes:")
+  string(FIND "${pstatus}" "${line}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "status lacks a '${line}' line:\n${pstatus}")
+  endif()
+endforeach()
+execute_process(COMMAND ${TOOL} campaign status --dir ${PBATCH} --metrics
+                OUTPUT_VARIABLE pmetrics RESULT_VARIABLE pmetrics_rc)
+if(NOT pmetrics_rc EQUAL 0 OR NOT pmetrics MATCHES "(^|\n)fi_lanes_launched ")
+  message(FATAL_ERROR "status --metrics lacks fi_lanes_launched (${pmetrics_rc}):\n"
+                      "${pmetrics}")
+endif()

@@ -1,8 +1,9 @@
 # Flight-recorder end-to-end (DESIGN.md §15): a traced campaign run must
 # leave a timeline.jsonl that the schema validator and `lint campaign`
-# accept, `campaign status` must summarize it, `status --follow` must
-# exit on its own once the campaign completes, and `obs report` must
-# produce a phase breakdown whose totals reconcile with the trace.
+# accept and a manifest.json that validates against its schema,
+# `campaign status` must summarize it, `status --follow` must exit on
+# its own once the campaign completes, and `obs report` must produce a
+# phase breakdown whose totals reconcile with the trace.
 set(DIR ${WORKDIR}/cli_timeline)
 file(REMOVE_RECURSE ${DIR})
 
@@ -32,6 +33,15 @@ if(PYTHON)
   if(NOT val_rc EQUAL 0)
     message(FATAL_ERROR "validate_timeline.py rejected a genuine timeline:\n"
                         "${val_out}${val_err}")
+  endif()
+  # The run's manifest validates against the committed manifest schema.
+  execute_process(COMMAND ${PYTHON} ${SRCDIR}/tools/validate_manifest.py
+                          ${DIR}/manifest.json
+                  OUTPUT_VARIABLE man_out ERROR_VARIABLE man_err
+                  RESULT_VARIABLE man_rc)
+  if(NOT man_rc EQUAL 0)
+    message(FATAL_ERROR "validate_manifest.py rejected a genuine manifest:\n"
+                        "${man_out}${man_err}")
   endif()
 endif()
 
