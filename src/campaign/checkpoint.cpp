@@ -179,6 +179,7 @@ JsonValue fastpath_to_json(const fi::FastPathStats& s) {
     o.emplace("lanes_retired_pruned", JsonValue(s.lanes_retired_pruned));
     o.emplace("lanes_retired_end", JsonValue(s.lanes_retired_end));
     o.emplace("lanes_retired_sealed", JsonValue(s.lanes_retired_sealed));
+    o.emplace("lanes_retired_merged", JsonValue(s.lanes_retired_merged));
     JsonArray widths;
     for (const std::uint64_t n : s.batch_widths) widths.emplace_back(n);
     o.emplace("batch_widths", JsonValue(std::move(widths)));
@@ -205,6 +206,7 @@ fi::FastPathStats fastpath_from_json(const JsonValue& v) {
     s.lanes_retired_pruned = opt_u64("lanes_retired_pruned");
     s.lanes_retired_end = opt_u64("lanes_retired_end");
     s.lanes_retired_sealed = opt_u64("lanes_retired_sealed");
+    s.lanes_retired_merged = opt_u64("lanes_retired_merged");
     if (const JsonValue* widths = v.find("batch_widths")) {
         const JsonArray& arr = widths->as_array();
         for (std::size_t b = 0; b < s.batch_widths.size() && b < arr.size(); ++b) {

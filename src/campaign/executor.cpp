@@ -285,9 +285,9 @@ ShardResult CampaignExecutor::run_shard(std::size_t shard,
                 std::memory_order_relaxed);
             const std::uint64_t retired =
                 (fp.lanes_retired_pruned + fp.lanes_retired_end +
-                 fp.lanes_retired_sealed) -
+                 fp.lanes_retired_sealed + fp.lanes_retired_merged) -
                 (fp_before.lanes_retired_pruned + fp_before.lanes_retired_end +
-                 fp_before.lanes_retired_sealed);
+                 fp_before.lanes_retired_sealed + fp_before.lanes_retired_merged);
             progress->lanes_retired.fetch_add(retired, std::memory_order_relaxed);
             progress->heartbeat.fetch_add(1, std::memory_order_relaxed);
         }
@@ -480,6 +480,8 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
                           JsonValue(result.fastpath.lanes_launched));
                 f.emplace("lanes_retired_sealed",
                           JsonValue(result.fastpath.lanes_retired_sealed));
+                f.emplace("lanes_retired_merged",
+                          JsonValue(result.fastpath.lanes_retired_merged));
                 f.emplace("threads", JsonValue(n_workers));
                 f.emplace("done", JsonValue(done));
                 f.emplace("total", JsonValue(total_shards));
@@ -556,6 +558,7 @@ bool CampaignExecutor::run(const ExecutorOptions& options) {
     f.emplace("cache_hits", JsonValue(fp.cache_hits));
     f.emplace("lanes_launched", JsonValue(fp.lanes_launched));
     f.emplace("lanes_retired_sealed", JsonValue(fp.lanes_retired_sealed));
+    f.emplace("lanes_retired_merged", JsonValue(fp.lanes_retired_merged));
     observer.emit(complete ? "campaign_done" : "campaign_pause", std::move(f));
     return complete;
 }

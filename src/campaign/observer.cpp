@@ -209,10 +209,11 @@ std::string render_status(const CampaignStatus& status) {
     if (fp.lanes_launched > 0) {
         std::snprintf(buf, sizeof buf,
                       "  batch lanes: %llu launched, %llu pruned, %llu sealed, "
-                      "%llu to end\n",
+                      "%llu merged, %llu to end\n",
                       static_cast<unsigned long long>(fp.lanes_launched),
                       static_cast<unsigned long long>(fp.lanes_retired_pruned),
                       static_cast<unsigned long long>(fp.lanes_retired_sealed),
+                      static_cast<unsigned long long>(fp.lanes_retired_merged),
                       static_cast<unsigned long long>(fp.lanes_retired_end));
         out << buf;
     }

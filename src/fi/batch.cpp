@@ -1,6 +1,8 @@
 #include "fi/batch.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <stdexcept>
 
 #include "fi/comparison.hpp"
@@ -75,10 +77,9 @@ void BatchRunner::flush() {
     const bool stride_boundaries =
         golden_->boundary.size() == len / kPruneCheckPeriod + 1 && golden_->last.tick == len;
 
-    // Group by injection tick: lanes of one batch fork from nearby
-    // boundary snapshots, so the sweep's tick span — and with it the
-    // idle-lane waste — stays small. Stable order keeps equal-t0 lanes
-    // in submission order.
+    // Sweep in injection-tick order: a lane takes a slot at its fork
+    // tick, so lanes that fork close together run side by side. Stable
+    // order keeps equal-tick lanes in submission order.
     std::stable_sort(pending_.begin(), pending_.end(),
                      [](const Pending& a, const Pending& b) { return a.inj.at < b.inj.at; });
 
@@ -116,6 +117,28 @@ void BatchRunner::flush() {
     }
     pending_.clear();
 
+    // Signal masks: one bit per signal, in 64-bit words. Reset-only data
+    // has no trace, and its periodic lanes read no masks.
+    signals_ = signal_count;
+    mask_words_ = (signal_count + 63) / 64;
+    seal_masks_.assign(seal_rules_.size() * 2 * mask_words_, 0);
+    const auto set_bits = [signal_count](std::uint64_t* mask,
+                                         const std::vector<model::SignalId>& signals) {
+        for (const model::SignalId s : signals) {
+            if (s.index() < signal_count) mask[s.index() / 64] |= std::uint64_t{1} << (s.index() % 64);
+        }
+    };
+    for (std::size_t r = 0; r < seal_rules_.size(); ++r) {
+        set_bits(seal_masks_.data() + r * 2 * mask_words_, seal_rules_[r].any_of);
+        set_bits(seal_masks_.data() + (r * 2 + 1) * mask_words_, seal_rules_[r].all_of);
+    }
+    golden_rows_.resize(signal_count);
+    for (std::size_t s = 0; s < signal_count; ++s) {
+        golden_rows_[s] =
+            golden_->run.trace.series(model::SignalId{static_cast<std::uint32_t>(s)}).data();
+    }
+    exits_.resize(outcomes_.size());
+
     // The simulator's trace is per-run history the batch path never
     // materializes (permeability consumes online first-diffs, coverage
     // consumes monitor state); disable recording while lanes multiplex
@@ -123,15 +146,10 @@ void BatchRunner::flush() {
     const bool had_trace = sim_->trace() != nullptr;
     sim_->enable_trace(false);
 
-    const std::size_t width = effective_width();
-    for (std::size_t first = 0; first < live.size(); first += width) {
-        run_batch(live.data() + first, std::min(width, live.size() - first),
-                  /*periodic=*/false);
-    }
-    for (std::size_t first = 0; first < periodic.size(); first += width) {
-        run_batch(periodic.data() + first, std::min(width, periodic.size() - first),
-                  /*periodic=*/true);
-    }
+    const std::size_t first_merge = merges_.size();
+    while (!live.empty()) run_sweep(live, /*periodic=*/false);
+    while (!periodic.empty()) run_sweep(periodic, /*periodic=*/true);
+    resolve_merges(first_merge);
 
     sim_->enable_trace(had_trace);
 }
@@ -168,13 +186,11 @@ void BatchRunner::replay_pending() {
     sim_->enable_trace(had_trace);
 }
 
-void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool periodic) {
+void BatchRunner::run_sweep(std::vector<Pending>& queue, bool periodic) {
     const runtime::Tick max_ticks = golden_->max_ticks;
     const runtime::Tick len = golden_->run.length;
     const auto& boundary = golden_->boundary;
-    const runtime::Trace& gtrace = golden_->run.trace;
-    const std::size_t signal_count = gtrace.signal_count();
-    const std::size_t W = count;
+    const std::size_t W = std::min(effective_width(), queue.size());
     const bool perm = mode_ == Mode::kPermeability;
 
     state_.reset(runtime::SnapshotLayout::of(boundary[0]), W);
@@ -186,34 +202,33 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
             throw std::runtime_error("BatchRunner: no usable batch backend");
         }
     }
-    stats_.record_batch_width(W);
 
     lanes_.assign(W, Lane{});
     schedule_.resize(W);  // each lane sets its own at activation
     mismatch_.assign(W, 0);
-    if (perm) {
-        first_diff_.assign(signal_count * W, runtime::kInvalidTick);
-        fd_new_.assign(W, 0);
-    }
-
-    // Golden signal rows as raw pointers — the scan below touches them
-    // once per signal per tick.
-    std::vector<const std::uint32_t*> gsig(signal_count);
-    for (std::size_t s = 0; s < signal_count; ++s) {
-        gsig[s] = gtrace.series(model::SignalId{static_cast<std::uint32_t>(s)}).data();
-    }
+    fd_new_.assign(W, 0);
+    first_diff_.assign(signals_ * W, runtime::kInvalidTick);
+    pending_mask_.assign(mask_words_ * W, 0);
+    diff_.assign(mask_words_ * W, 0);
 
     // Periodic lanes run from the reset state; a one-shot lane forks from
     // the last stride boundary at or before its injection tick.
     const auto fork_tick = [periodic](const Pending& p) {
         return periodic ? runtime::Tick{0} : p.inj.at / kPruneCheckPeriod * kPruneCheckPeriod;
     };
+    deferred_.clear();
+    unfired_ = 0;
     std::size_t next = 0;
-    runtime::Tick t = fork_tick(batch[0]);
-    while (state_.live() > 0 || next < W) {
-        if (state_.live() == 0) t = fork_tick(batch[next]);  // jump over dead span
-        while (next < W && fork_tick(batch[next]) <= t) {
-            const Pending& p = batch[next];
+    std::size_t launched = 0;
+    runtime::Tick t = fork_tick(queue[0]);
+    while (state_.live() > 0 || next < queue.size()) {
+        if (state_.live() == 0) t = fork_tick(queue[next]);  // jump over dead span
+        for (; next < queue.size() && fork_tick(queue[next]) <= t; ++next) {
+            const Pending& p = queue[next];
+            if (state_.live() == W) {
+                deferred_.push_back(p);  // every slot busy: a later sweep runs it
+                continue;
+            }
             const runtime::Tick t0 = fork_tick(p);
             const std::size_t lane = state_.activate(boundary[t0 / kPruneCheckPeriod]);
             lanes_[lane] = Lane{p.ticket, t0, p.seal};
@@ -221,11 +236,15 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
                 p.inj.bit == kRandomBit ? flip_width(*sim_, p.inj) : 0U;
             schedule_[lane] = Schedule{p.inj.at, p.inj.period, to_flip(p.inj),
                                        random_width, util::Rng(p.seed), false};
-            if (perm) {
-                for (std::size_t s = 0; s < signal_count; ++s) {
-                    first_diff_[s * W + lane] = runtime::kInvalidTick;
-                }
+            std::fill_n(first_diff_.begin() + static_cast<long>(lane * signals_), signals_,
+                        runtime::kInvalidTick);
+            std::uint64_t* pend = pending_mask_.data() + lane * mask_words_;
+            for (std::size_t w = 0; w < mask_words_; ++w) {
+                const std::size_t bits = std::min<std::size_t>(64, signals_ - 64 * w);
+                pend[w] = bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
             }
+            ++unfired_;
+            ++launched;
             ++stats_.lanes_launched;
             if (t0 == 0) {
                 ++stats_.full_runs;
@@ -233,50 +252,23 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
                 ++stats_.forked_runs;
                 stats_.ticks_saved += t0;
             }
-            ++next;
         }
 
-        launch_due(t);
+        // One-shot lanes launch within kPruneCheckPeriod ticks of their
+        // fork; most ticks have no schedule to scan.
+        if (unfired_ > 0) launch_due(t);
         backend->step(state_, t);
-        state_.clear_launches();
+        if (state_.launch_count() != 0) state_.clear_launches();
         const runtime::Tick k = t + 1;
-        const std::size_t live = state_.live();
 
-        if (!periodic && t < len) {
-            // Post-step signals are trace row `t`. One pass computes the
-            // prune prefilter (all signals golden) and — in permeability
-            // mode — the online per-signal first differences.
-            std::fill(mismatch_.begin(), mismatch_.begin() + static_cast<long>(live), 0);
-            if (perm) {
-                std::fill(fd_new_.begin(), fd_new_.begin() + static_cast<long>(live), 0);
-            }
-            for (std::size_t s = 0; s < signal_count; ++s) {
-                const std::uint32_t g = gsig[s][t];
-                const std::uint32_t* row = state_.signals_row(s);
-                if (perm) {
-                    runtime::Tick* fd = first_diff_.data() + s * W;
-                    for (std::size_t lane = 0; lane < live; ++lane) {
-                        if (row[lane] != g) {
-                            mismatch_[lane] = 1;
-                            if (fd[lane] == runtime::kInvalidTick) {
-                                fd[lane] = t;
-                                fd_new_[lane] = 1;
-                            }
-                        }
-                    }
-                } else {
-                    for (std::size_t lane = 0; lane < live; ++lane) {
-                        if (row[lane] != g) mismatch_[lane] = 1;
-                    }
-                }
-            }
-        }
+        // Post-step signals are trace row `t`.
+        if (!periodic && t < len) scan_signals(t);
 
         for (std::size_t lane = 0; lane < state_.live();) {
             if (state_.finished(lane)) {
-                retire_lane(lane, k, /*finished=*/true, /*pruned=*/false);
+                retire_lane(lane, k, Exit::kFinished);
             } else if (k >= max_ticks) {
-                retire_lane(lane, k, /*finished=*/false, /*pruned=*/false);
+                retire_lane(lane, k, Exit::kBudget);
             } else if (perm && fd_new_[lane] != 0 && seal_decided(lane)) {
                 // A seal can only become decided on a tick that records a
                 // new first diff for the lane — fd_new_ gates the check.
@@ -284,8 +276,7 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
                 // reads is recorded and final (future diffs land at
                 // >= k+1, strictly after the decisive ones) — the
                 // outcome can no longer change. See SealRule.
-                retire_lane(lane, k, /*finished=*/false, /*pruned=*/false,
-                            /*sealed=*/true);
+                retire_lane(lane, k, Exit::kSealed);
             } else if (!periodic && k < len && mismatch_[lane] == 0 &&
                        k % kPruneCheckPeriod == 0 &&
                        state_.lane_equals(lane, boundary[k / kPruneCheckPeriod])) {
@@ -294,11 +285,11 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
                 // implies an equal future. A lane forks less than
                 // kPruneCheckPeriod ticks before its flip, so its first
                 // check already follows the launch.
-                retire_lane(lane, k, golden_->run.finished, /*pruned=*/true);
+                retire_lane(lane, k, Exit::kPruned);
             } else if (perm && k >= len) {
                 // Attribution only reads the common trace prefix, which
                 // ends here — the outcome is sealed.
-                retire_lane(lane, k, /*finished=*/false, /*pruned=*/false);
+                retire_lane(lane, k, Exit::kEnd);
             } else {
                 ++lane;
                 continue;
@@ -306,7 +297,184 @@ void BatchRunner::run_batch(const Pending* batch, std::size_t count, bool period
             // The retired slot now holds the previously-last lane (or is
             // dead); re-examine the same index.
         }
+        if (!periodic && k % kMergeCheckPeriod == 0 && state_.live() > 1) merge_lanes(k);
         ++t;
+    }
+    stats_.record_batch_width(launched);
+    queue.swap(deferred_);
+}
+
+void BatchRunner::scan_signals(runtime::Tick t) {
+    const std::size_t W = state_.width();
+    const std::size_t live = state_.live();
+    // Branch-free pass: one diff bit per signal per lane.
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+        std::fill_n(diff_.begin() + static_cast<long>(w * W), live, 0);
+    }
+    for (std::size_t s = 0; s < signals_; ++s) {
+        const std::uint32_t g = golden_rows_[s][t];
+        const std::uint32_t* row = state_.signals_row(s);
+        std::uint64_t* d = diff_.data() + (s / 64) * W;
+        const unsigned bit = s % 64;
+        for (std::size_t lane = 0; lane < live; ++lane) {
+            d[lane] |= static_cast<std::uint64_t>(row[lane] != g) << bit;
+        }
+    }
+    // New first diffs are diff & pending — rare, handled apart.
+    const bool perm = mode_ == Mode::kPermeability;
+    for (std::size_t lane = 0; lane < live; ++lane) {
+        std::uint64_t any = 0;
+        std::uint8_t fresh = 0;
+        for (std::size_t w = 0; w < mask_words_; ++w) {
+            const std::uint64_t d = diff_[w * W + lane];
+            any |= d;
+            std::uint64_t& pend = pending_mask_[lane * mask_words_ + w];
+            std::uint64_t x = perm ? d & pend : 0;
+            if (x == 0) continue;
+            pend &= ~x;
+            fresh = 1;
+            runtime::Tick* fd = first_diff_.data() + lane * signals_ + 64 * w;
+            for (; x != 0; x &= x - 1) fd[std::countr_zero(x)] = t;
+        }
+        mismatch_[lane] = any != 0 ? 1 : 0;
+        fd_new_[lane] = fresh;
+    }
+}
+
+void BatchRunner::merge_lanes(runtime::Tick k) {
+    const std::size_t live = state_.live();
+    // Hash the signal, memory and environment rows of every live lane,
+    // word-major like the kernel, in 32 bits the lane loop vectorizes.
+    // The exact compare below spans all six sections, so the hash only
+    // has to bring equal states together.
+    hash_.assign(live, 0x811c9dc5U);
+    const auto mix = [this, live](const auto* row) {
+        for (std::size_t lane = 0; lane < live; ++lane) {
+            std::uint64_t w = row[lane];
+            w ^= w >> 32;
+            hash_[lane] = (hash_[lane] ^ static_cast<std::uint32_t>(w)) * 0x9e3779b1U;
+        }
+    };
+    const runtime::SnapshotLayout& layout = state_.layout();
+    for (std::size_t w = 0; w < layout.signals; ++w) mix(state_.signals_row(w));
+    for (std::size_t w = 0; w < layout.memory; ++w) mix(state_.memory_row(w));
+    for (std::size_t w = 0; w < layout.environment; ++w) mix(state_.environment_row(w));
+
+    // Candidates: fired lanes at least kMergeCheckPeriod ticks past their
+    // fork, sorted by (seal, hash) and, within equal keys, by pending
+    // signal count descending — the likeliest leader first.
+    candidates_.clear();
+    for (std::size_t lane = 0; lane < live; ++lane) {
+        if (!schedule_[lane].fired || lanes_[lane].t0 + kMergeCheckPeriod > k) continue;
+        std::uint64_t recorded = 0;
+        for (std::size_t w = 0; w < mask_words_; ++w) {
+            recorded += static_cast<std::uint64_t>(
+                std::popcount(~pending_mask_[lane * mask_words_ + w]));
+        }
+        candidates_.emplace_back(std::uint64_t{lanes_[lane].seal} << 32 | hash_[lane],
+                                 recorded << 32 | lane);
+    }
+    std::sort(candidates_.begin(), candidates_.end());
+
+    // A follower's pending signals must be a subset of its leader's: the
+    // follower then diffs every signal it still lacks exactly when the
+    // leader does.
+    const auto pending_within = [this](std::size_t f, std::size_t l) {
+        for (std::size_t w = 0; w < mask_words_; ++w) {
+            const std::uint64_t pf = pending_mask_[f * mask_words_ + w];
+            if ((pf & ~pending_mask_[l * mask_words_ + w]) != 0) return false;
+        }
+        return true;
+    };
+    const auto slot = [](std::uint64_t order) {
+        return static_cast<std::size_t>(order & 0xffffffffU);
+    };
+    followers_.clear();
+    for (std::size_t g = 0; g < candidates_.size();) {
+        std::size_t end = g + 1;
+        while (end < candidates_.size() && candidates_[end].first == candidates_[g].first) ++end;
+        // Leaders of the group are the candidates in [g, lead_end) that
+        // followed no one; a follower's entry moves past them.
+        std::size_t lead_end = g + 1;
+        for (std::size_t c = g + 1; c < end; ++c) {
+            const std::size_t lane = slot(candidates_[c].second);
+            std::size_t leader = g;
+            while (leader < lead_end &&
+                   !(pending_within(lane, slot(candidates_[leader].second)) &&
+                     state_.lanes_equal(lane, slot(candidates_[leader].second)))) {
+                ++leader;
+            }
+            if (leader == lead_end) {
+                std::swap(candidates_[lead_end++], candidates_[c]);
+                continue;
+            }
+            const std::size_t lead = slot(candidates_[leader].second);
+            merges_.push_back(Merge{lanes_[lane].ticket, lanes_[lead].ticket, k});
+            merge_seals_.push_back(lanes_[lane].seal);
+            const auto fd = first_diff_.begin() + static_cast<long>(lane * signals_);
+            merge_first_diff_.insert(merge_first_diff_.end(), fd,
+                                     fd + static_cast<long>(signals_));
+            stats_.ticks_executed += k - lanes_[lane].t0;
+            followers_.push_back(lane);
+        }
+        g = end;
+    }
+    // Compact from the highest slot down: the lane swapped into a freed
+    // slot then always comes from above it and is not a follower.
+    std::sort(followers_.begin(), followers_.end(), std::greater<>());
+    for (const std::size_t lane : followers_) drop_lane(lane);
+}
+
+void BatchRunner::resolve_merges(std::size_t first) {
+    // Latest merge first: a leader that later followed another lane has
+    // its own outcome resolved before its followers read it.
+    const runtime::Tick len = golden_->run.length;
+    for (std::size_t m = merges_.size(); m-- > first;) {
+        const Merge& mg = merges_[m];
+        const Retired lead = exits_[mg.leader];
+        const BatchOutcome& lo = outcomes_[mg.leader];
+        BatchOutcome& out = outcomes_[mg.follower];
+        Retired exit = lead;
+        if (mode_ == Mode::kPermeability) {
+            // Own diffs before the merge, the leader's (all >= mg.at) after.
+            const auto own = merge_first_diff_.begin() + static_cast<long>(m * signals_);
+            out.first_diff.assign(own, own + static_cast<long>(signals_));
+            for (std::size_t s = 0; s < signals_; ++s) {
+                if (out.first_diff[s] == runtime::kInvalidTick) {
+                    out.first_diff[s] = lo.first_diff[s];
+                }
+            }
+            // The follower's own seal decides no later than the leader's
+            // (same rule, fewer pending signals). It retires first unless
+            // the leader finished or hit the budget on that very tick —
+            // those checks come before the seal's.
+            const std::uint32_t seal = merge_seals_[m];
+            const runtime::Tick d = seal == kNoSeal
+                                        ? runtime::kInvalidTick
+                                        : seal_tick(seal_rules_[seal], out.first_diff);
+            if (d != runtime::kInvalidTick &&
+                (d + 1 < lead.k ||
+                 (d + 1 == lead.k && lead.why != Exit::kFinished && lead.why != Exit::kBudget))) {
+                exit = Retired{d + 1, Exit::kSealed};
+                for (runtime::Tick& fd : out.first_diff) {
+                    if (fd > d) fd = runtime::kInvalidTick;
+                }
+            }
+            out.fired = true;
+            out.pruned = exit.why == Exit::kPruned;
+            out.finished = exit.why == Exit::kFinished ||
+                           (out.pruned && golden_->run.finished);
+            out.end_tick = out.pruned ? len : exit.k;
+        } else {
+            // Coverage outcomes are the run's end state: the leader's.
+            out = lo;
+        }
+        exits_[mg.follower] = exit;
+        ++stats_.lanes_retired_merged;
+        if (exit.why == Exit::kPruned) ++stats_.pruned_runs;
+        // The follower's ticks from the merge to its own retirement were
+        // not simulated, and nor are those its retirement saves.
+        stats_.ticks_saved += exit.k - mg.at + ticks_saved_after(exit);
     }
 }
 
@@ -321,6 +489,7 @@ void BatchRunner::launch_due(runtime::Tick now) {
         state_.set_launch(lane, flip);
         // A one-shot schedule (period 0) stays in the past: it fires once.
         sched.next += sched.period;
+        if (sched.period == 0) --unfired_;
         sched.fired = true;
     }
 }
@@ -328,53 +497,60 @@ void BatchRunner::launch_due(runtime::Tick now) {
 bool BatchRunner::seal_decided(std::size_t lane) const noexcept {
     const std::uint32_t seal = lanes_[lane].seal;
     if (seal == kNoSeal) return false;
-    const SealRule& rule = seal_rules_[seal];
-    const std::size_t W = state_.width();
-    const runtime::Tick* fd = first_diff_.data();
-    for (const model::SignalId s : rule.any_of) {
-        if (fd[s.index() * W + lane] != runtime::kInvalidTick) return true;
+    const std::uint64_t* any = seal_masks_.data() + seal * 2 * mask_words_;
+    const std::uint64_t* all = any + mask_words_;
+    const std::uint64_t* pend = pending_mask_.data() + lane * mask_words_;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+        if ((any[w] & ~pend[w]) != 0) return true;
     }
-    if (rule.all_of.empty()) return false;
-    for (const model::SignalId s : rule.all_of) {
-        if (fd[s.index() * W + lane] == runtime::kInvalidTick) return false;
+    if (seal_rules_[seal].all_of.empty()) return false;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+        if ((all[w] & pend[w]) != 0) return false;
     }
     return true;
 }
 
-void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished,
-                              bool pruned, bool sealed) {
-    const runtime::Tick len = golden_->run.length;
-    const std::size_t W = state_.width();
-    const std::size_t signal_count = golden_->run.trace.signal_count();
-    const Lane meta = lanes_[lane];
+runtime::Tick BatchRunner::seal_tick(const SealRule& rule,
+                                     const std::vector<runtime::Tick>& first_diff) {
+    // Any witness decides at its first diff; all outputs at the last of
+    // theirs. kInvalidTick (never) is the largest Tick.
+    runtime::Tick d = runtime::kInvalidTick;
+    for (const model::SignalId s : rule.any_of) d = std::min(d, first_diff[s.index()]);
+    if (!rule.all_of.empty()) {
+        runtime::Tick last = 0;
+        for (const model::SignalId s : rule.all_of) last = std::max(last, first_diff[s.index()]);
+        d = std::min(d, last);
+    }
+    return d;
+}
 
+void BatchRunner::retire_lane(std::size_t lane, runtime::Tick k, Exit why) {
+    const Lane meta = lanes_[lane];
+    const bool pruned = why == Exit::kPruned;
     BatchOutcome& out = outcomes_[meta.ticket];
+    exits_[meta.ticket] = Retired{k, why};
     out.fired = schedule_[lane].fired;
     out.pruned = pruned;
-    stats_.ticks_executed += end - meta.t0;
-    if (pruned) {
-        out.end_tick = len;
-        out.finished = finished;
-        stats_.ticks_saved += len - end;
-        ++stats_.pruned_runs;
-        ++stats_.lanes_retired_pruned;
-    } else if (sealed) {
-        out.end_tick = end;
-        out.finished = finished;
-        // Without the seal the lane would have run on to the golden end
-        // (permeability lanes retire there at the latest).
-        if (end < len) stats_.ticks_saved += len - end;
-        ++stats_.lanes_retired_sealed;
-    } else {
-        out.end_tick = end;
-        out.finished = finished;
-        ++stats_.lanes_retired_end;
+    // A pruned lane's outcome is the golden run's.
+    out.end_tick = pruned ? golden_->run.length : k;
+    out.finished = why == Exit::kFinished || (pruned && golden_->run.finished);
+    stats_.ticks_executed += k - meta.t0;
+    stats_.ticks_saved += ticks_saved_after(Retired{k, why});
+    switch (why) {
+        case Exit::kPruned:
+            ++stats_.pruned_runs;
+            ++stats_.lanes_retired_pruned;
+            break;
+        case Exit::kSealed:
+            ++stats_.lanes_retired_sealed;
+            break;
+        default:
+            ++stats_.lanes_retired_end;
+            break;
     }
     if (mode_ == Mode::kPermeability) {
-        out.first_diff.resize(signal_count);
-        for (std::size_t s = 0; s < signal_count; ++s) {
-            out.first_diff[s] = first_diff_[s * W + lane];
-        }
+        const auto fd = first_diff_.begin() + static_cast<long>(lane * signals_);
+        out.first_diff.assign(fd, fd + static_cast<long>(signals_));
     } else if (pruned) {
         out.monitors = golden_->last.monitors;
         out.environment = golden_->last.environment;
@@ -385,19 +561,29 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick end, bool finished
             out.environment[w] = state_.environment_row(w)[lane];
         }
     }
+    drop_lane(lane);
+}
 
+runtime::Tick BatchRunner::ticks_saved_after(const Retired& r) const noexcept {
+    // Without the prune or the seal the lane would have run on to the
+    // golden end (permeability lanes retire there at the latest).
+    const runtime::Tick len = golden_->run.length;
+    const bool early = r.why == Exit::kPruned || r.why == Exit::kSealed;
+    return early && r.k < len ? len - r.k : 0;
+}
+
+void BatchRunner::drop_lane(std::size_t lane) {
+    if (schedule_[lane].period != 0 || !schedule_[lane].fired) --unfired_;
     const std::size_t last = state_.retire(lane);
-    if (lane != last) {
-        lanes_[lane] = lanes_[last];
-        mismatch_[lane] = mismatch_[last];
-        schedule_[lane] = schedule_[last];
-        if (mode_ == Mode::kPermeability) {
-            fd_new_[lane] = fd_new_[last];
-            for (std::size_t s = 0; s < signal_count; ++s) {
-                first_diff_[s * W + lane] = first_diff_[s * W + last];
-            }
-        }
-    }
+    if (lane == last) return;
+    lanes_[lane] = lanes_[last];
+    schedule_[lane] = schedule_[last];
+    mismatch_[lane] = mismatch_[last];
+    fd_new_[lane] = fd_new_[last];
+    std::copy_n(first_diff_.begin() + static_cast<long>(last * signals_), signals_,
+                first_diff_.begin() + static_cast<long>(lane * signals_));
+    std::copy_n(pending_mask_.begin() + static_cast<long>(last * mask_words_), mask_words_,
+                pending_mask_.begin() + static_cast<long>(lane * mask_words_));
 }
 
 }  // namespace epea::fi

@@ -19,6 +19,7 @@ void add_fastpath_metrics(const FastPathStats& delta) {
     reg.counter("fi.lanes.retired_pruned").add(delta.lanes_retired_pruned);
     reg.counter("fi.lanes.retired_end").add(delta.lanes_retired_end);
     reg.counter("fi.lanes.retired_sealed").add(delta.lanes_retired_sealed);
+    reg.counter("fi.lanes.retired_merged").add(delta.lanes_retired_merged);
 }
 
 util::JsonObject fastpath_stats_json(const FastPathStats& stats) {
@@ -35,6 +36,7 @@ util::JsonObject fastpath_stats_json(const FastPathStats& stats) {
     o.emplace("lanes_retired_pruned", util::JsonValue(stats.lanes_retired_pruned));
     o.emplace("lanes_retired_end", util::JsonValue(stats.lanes_retired_end));
     o.emplace("lanes_retired_sealed", util::JsonValue(stats.lanes_retired_sealed));
+    o.emplace("lanes_retired_merged", util::JsonValue(stats.lanes_retired_merged));
     util::JsonArray widths;
     for (const std::uint64_t n : stats.batch_widths) widths.emplace_back(n);
     o.emplace("batch_widths", util::JsonValue(std::move(widths)));

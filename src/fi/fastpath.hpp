@@ -32,7 +32,7 @@ namespace epea::fi {
 /// Observability counters for the injection engine (per-shard in campaigns;
 /// surfaced in events.jsonl and `campaign status`).
 struct FastPathStats {
-    /// Width histogram buckets: lane count at batch launch, log2-ish
+    /// Width histogram buckets: lanes run per sweep, log2-ish
     /// ranges 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65+.
     static constexpr std::size_t kWidthBuckets = 8;
 
@@ -42,15 +42,17 @@ struct FastPathStats {
     /// One-shot lanes forked from a golden boundary at tick > 0: the
     /// stride floor of their injection tick, floor(at/8)*8.
     std::uint64_t forked_runs = 0;
-    /// Runs terminated early on state re-convergence; overlaps with
-    /// forked_runs/full_runs (a forked run can also prune).
+    /// Runs terminated early on state re-convergence — pruned lanes, and
+    /// merged lanes resolved to a prune; overlaps with forked_runs/full_runs
+    /// (a forked run can also prune).
     std::uint64_t pruned_runs = 0;
     std::uint64_t skipped_runs = 0;  ///< runs elided (injection tick beyond golden end)
     /// (Lane-)ticks actually simulated, including the up to 7 fault-free
     /// ticks a lane runs from its stride-floor fork to its injection.
     std::uint64_t ticks_executed = 0;
     /// Golden ticks reused instead of simulated: the fork tick of a forked
-    /// lane, plus the ticks after a prune, a seal or a skip.
+    /// lane, plus the ticks after a prune, a seal or a skip, plus a merged
+    /// lane's ticks from its merge to its resolved retirement.
     std::uint64_t ticks_saved = 0;
     std::uint64_t cache_hits = 0;      ///< golden-cache lookups served from memory
     std::uint64_t cache_misses = 0;    ///< golden-cache lookups that captured fresh
@@ -62,7 +64,10 @@ struct FastPathStats {
     std::uint64_t lanes_retired_pruned = 0;  ///< lanes retired on state re-convergence
     std::uint64_t lanes_retired_end = 0;     ///< lanes retired at env finish / golden end
     std::uint64_t lanes_retired_sealed = 0;  ///< lanes retired on a decided attribution seal
-    std::array<std::uint64_t, kWidthBuckets> batch_widths{};  ///< launch-width histogram
+    /// Lanes retired into a state-equal live lane (their outcome is
+    /// resolved from that lane's; DESIGN.md §9).
+    std::uint64_t lanes_retired_merged = 0;
+    std::array<std::uint64_t, kWidthBuckets> batch_widths{};  ///< lanes-per-sweep histogram
 
     void merge(const FastPathStats& o) noexcept {
         full_runs += o.full_runs;
@@ -77,6 +82,7 @@ struct FastPathStats {
         lanes_retired_pruned += o.lanes_retired_pruned;
         lanes_retired_end += o.lanes_retired_end;
         lanes_retired_sealed += o.lanes_retired_sealed;
+        lanes_retired_merged += o.lanes_retired_merged;
         for (std::size_t b = 0; b < kWidthBuckets; ++b) batch_widths[b] += o.batch_widths[b];
     }
 

@@ -39,6 +39,15 @@ template <typename T>
     return true;
 }
 
+template <typename T>
+[[nodiscard]] bool columns_equal(const std::vector<T>& data, std::size_t words,
+                                 std::size_t width, std::size_t a, std::size_t b) noexcept {
+    for (std::size_t w = 0; w < words; ++w) {
+        if (data[w * width + a] != data[w * width + b]) return false;
+    }
+    return true;
+}
+
 }  // namespace
 
 void BatchState::reset(const SnapshotLayout& layout, std::size_t width) {
@@ -114,6 +123,15 @@ bool BatchState::lane_equals(std::size_t lane, const Snapshot& snap) const noexc
            column_equals(environment_, width_, lane, snap.environment) &&
            column_equals(monitors_, width_, lane, snap.monitors) &&
            column_equals(recoverers_, width_, lane, snap.recoverers);
+}
+
+bool BatchState::lanes_equal(std::size_t a, std::size_t b) const noexcept {
+    return columns_equal(signals_, layout_.signals, width_, a, b) &&
+           columns_equal(memory_, layout_.memory, width_, a, b) &&
+           columns_equal(behaviours_, layout_.behaviours, width_, a, b) &&
+           columns_equal(environment_, layout_.environment, width_, a, b) &&
+           columns_equal(monitors_, layout_.monitors, width_, a, b) &&
+           columns_equal(recoverers_, layout_.recoverers, width_, a, b);
 }
 
 void BatchState::extract_monitors(std::size_t lane, std::vector<std::uint64_t>& out) const {

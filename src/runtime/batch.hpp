@@ -149,6 +149,9 @@ public:
     /// Bit-exact comparison of one lane against a snapshot (tick
     /// excluded) — the convergence-prune confirmation.
     [[nodiscard]] bool lane_equals(std::size_t lane, const Snapshot& snap) const noexcept;
+    /// Bit-exact comparison of two lanes over all six sections — equal
+    /// lanes at the same tick have the same future (the merge check).
+    [[nodiscard]] bool lanes_equal(std::size_t a, std::size_t b) const noexcept;
     /// Copies one lane's monitor section into `out` (detection state of
     /// a retired coverage lane).
     void extract_monitors(std::size_t lane, std::vector<std::uint64_t>& out) const;

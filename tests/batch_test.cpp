@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "alt/tank_system.hpp"
@@ -357,6 +360,263 @@ TEST(BatchRunner, SealedLanesRetireEarlyWithExactAttribution) {
     // Sealing strictly reduces executed lane ticks.
     EXPECT_LT(direct.stats().ticks_executed, plain.stats().ticks_executed);
     EXPECT_LE(ablation.stats().ticks_executed, plain.stats().ticks_executed);
+}
+
+/// Module-input flips of every bit of every port, and signal flips of
+/// every bit of the system inputs, at `moments` moments — the
+/// estimator's plan shape, dense enough that lanes whose error stays in a
+/// counter (CALC's `i`, DIST_S's `pulscnt`) reach the same state as
+/// another live lane and merge. A PACNT signal flip also diffs PACNT
+/// itself, which the DIST_S input flip beside it never does.
+std::vector<fi::Injection> merge_plan(const model::SystemModel& system, runtime::Tick len,
+                                      runtime::Tick moments) {
+    std::vector<fi::Injection> plan;
+    for (runtime::Tick j = 1; j <= moments; ++j) {
+        const runtime::Tick at = len * j / (moments + 1);
+        for (const model::ModuleId mid : system.all_modules()) {
+            const auto& spec = system.module(mid);
+            for (std::uint32_t port = 0; port < spec.input_count(); ++port) {
+                const unsigned width = system.signal(spec.inputs[port]).width;
+                for (unsigned bit = 0; bit < width; ++bit) {
+                    plan.push_back(fi::Injection::into_module_input(mid, port, bit, at + 3 * bit));
+                }
+            }
+        }
+        for (const model::SignalId sid : system.all_signals()) {
+            if (system.signal(sid).role != model::SignalRole::kSystemInput) continue;
+            for (unsigned bit = 0; bit < system.signal(sid).width; ++bit) {
+                plan.push_back(fi::Injection::into_signal(sid, bit, at + 3 * bit));
+            }
+        }
+    }
+    return plan;
+}
+
+/// The seal rule of a plan, or none.
+using SealFor = std::function<std::optional<fi::BatchRunner::SealRule>(const fi::Injection&)>;
+
+/// Runs `plan` at width 1 (no two lanes live at once, so nothing merges)
+/// and at the auto width, each plan under its seal rule — equal rules
+/// share one handle, so their lanes may merge — and expects the same
+/// outcome for every plan. Returns the wide runner.
+fi::BatchRunner expect_merged_match_width_one(
+    runtime::Simulator& sim, fi::Injector& injector,
+    const std::shared_ptr<const fi::GoldenCaseData>& golden, fi::BatchRunner::Mode mode,
+    const std::vector<fi::Injection>& plan, const SealFor& seal_for) {
+    const bool perm = mode == fi::BatchRunner::Mode::kPermeability;
+    std::vector<fi::BatchRunner> runners;
+    for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
+        fi::BatchRunner& batch = runners.emplace_back(sim, injector);
+        batch.set_mode(mode);
+        batch.set_width(width);
+        batch.set_golden(golden);
+        using Ids = std::vector<std::uint32_t>;
+        std::map<std::pair<Ids, Ids>, std::uint32_t> handles;
+        const auto ids = [](const std::vector<model::SignalId>& signals) {
+            Ids out;
+            for (const model::SignalId s : signals) out.push_back(s.index());
+            return out;
+        };
+        for (const fi::Injection& inj : plan) {
+            std::uint32_t handle = fi::BatchRunner::kNoSeal;
+            if (auto rule = seal_for(inj)) {
+                const auto key = std::make_pair(ids(rule->any_of), ids(rule->all_of));
+                const auto it = handles.find(key);
+                handle = it != handles.end()
+                             ? it->second
+                             : handles.emplace(key, batch.add_seal_rule(std::move(*rule)))
+                                   .first->second;
+            }
+            (void)batch.submit(inj, handle);
+        }
+        batch.flush();
+    }
+    const fi::BatchRunner& narrow = runners[0];
+    const fi::BatchRunner& wide = runners[1];
+    EXPECT_TRUE(narrow.merges().empty());
+    EXPECT_GT(wide.stats().lanes_retired_merged, 0U);
+    EXPECT_EQ(wide.stats().lanes_retired_merged, wide.merges().size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        SCOPED_TRACE("plan " + std::to_string(i) + " at " + std::to_string(plan[i].at));
+        const fi::BatchOutcome& a = narrow.outcome(i);
+        const fi::BatchOutcome& b = wide.outcome(i);
+        EXPECT_EQ(a.fired, b.fired);
+        EXPECT_EQ(a.end_tick, b.end_tick);
+        EXPECT_EQ(a.finished, b.finished);
+        EXPECT_EQ(a.pruned, b.pruned);
+        if (perm) {
+            EXPECT_EQ(a.first_diff, b.first_diff);
+        } else {
+            EXPECT_EQ(a.monitors, b.monitors);
+            EXPECT_EQ(a.environment, b.environment);
+        }
+    }
+    // A follower had recorded every first diff its leader had.
+    if (perm) {
+        for (const fi::BatchRunner::Merge& m : wide.merges()) {
+            const std::vector<runtime::Tick>& f = narrow.outcome(m.follower).first_diff;
+            const std::vector<runtime::Tick>& l = narrow.outcome(m.leader).first_diff;
+            for (std::size_t s = 0; s < f.size(); ++s) {
+                if (l[s] < m.at) {
+                    EXPECT_LT(f[s], m.at) << "signal " << s << " merge at " << m.at;
+                }
+            }
+        }
+    }
+    // Every lane retires one way, and the executed plus saved ticks of
+    // the two runners cover the same runs.
+    for (const fi::BatchRunner* batch : {&narrow, &wide}) {
+        const fi::FastPathStats& st = batch->stats();
+        EXPECT_EQ(st.lanes_launched, st.lanes_retired_pruned + st.lanes_retired_end +
+                                         st.lanes_retired_sealed + st.lanes_retired_merged);
+    }
+    EXPECT_EQ(narrow.stats().ticks_executed + narrow.stats().ticks_saved,
+              wide.stats().ticks_executed + wide.stats().ticks_saved);
+    EXPECT_LT(wide.stats().ticks_executed, narrow.stats().ticks_executed);
+    return std::move(runners[1]);
+}
+
+TEST(BatchRunner, MergedLanesMatchWidthOne) {
+    BatchFixture fx;
+    const model::SystemModel& system = fx.sys.system();
+    const std::vector<fi::Injection> plan = merge_plan(system, fx.golden->run.length, 4);
+
+    // The estimator's two seal rules per (module, port): direct
+    // attribution (the other inputs as contamination witnesses, all
+    // outputs) and the any-output-diff ablation (outputs only).
+    const auto sealer = [&system](bool direct) -> SealFor {
+        return [&system, direct](const fi::Injection& inj) {
+            std::optional<fi::BatchRunner::SealRule> rule;
+            if (inj.kind != fi::Injection::Kind::kModuleInput) return rule;
+            const auto& spec = system.module(inj.module);
+            rule.emplace();
+            if (direct) {
+                for (std::uint32_t p = 0; p < spec.input_count(); ++p) {
+                    if (p != inj.port) rule->any_of.push_back(spec.inputs[p]);
+                }
+            }
+            rule->all_of = spec.outputs;
+            return rule;
+        };
+    };
+    const SealFor unsealed = [](const fi::Injection&) {
+        return std::optional<fi::BatchRunner::SealRule>();
+    };
+    // A follower whose own seal decides while its leader still runs, read
+    // off the merges of a wide runner and the width-1 outcomes.
+    const auto sealed_before_leader = [](const fi::BatchRunner& wide) {
+        return std::any_of(wide.merges().begin(), wide.merges().end(),
+                           [&wide](const fi::BatchRunner::Merge& m) {
+                               const fi::BatchOutcome& f = wide.outcome(m.follower);
+                               return !f.pruned && !f.finished &&
+                                      f.end_tick < wide.outcome(m.leader).end_tick;
+                           });
+    };
+    for (const bool direct : {true, false}) {
+        SCOPED_TRACE(direct ? "direct attribution" : "ablation");
+        (void)expect_merged_match_width_one(fx.sys.sim(), fx.injector, fx.golden,
+                                            fi::BatchRunner::Mode::kPermeability, plan,
+                                            sealer(direct));
+    }
+
+    // Unsealed permeability lanes follow their leader to its retirement,
+    // through chains: a leader may itself follow another lane later.
+    const fi::BatchRunner wide = expect_merged_match_width_one(
+        fx.sys.sim(), fx.injector, fx.golden, fi::BatchRunner::Mode::kPermeability, plan,
+        unsealed);
+    std::vector<bool> follows(plan.size(), false);
+    for (const fi::BatchRunner::Merge& m : wide.merges()) {
+        EXPECT_EQ(m.at % fi::BatchRunner::kMergeCheckPeriod, 0U);
+        follows[m.follower] = true;
+    }
+    EXPECT_TRUE(std::any_of(wide.merges().begin(), wide.merges().end(),
+                            [&follows](const fi::BatchRunner::Merge& m) {
+                                return follows[m.leader];
+                            }));
+
+    // A follower may have recorded a first diff its leader still lacks
+    // (`extra`). Under a rule that waits for `extra` and for a signal both
+    // still lacked at the merge (`later`), the follower's seal decides at
+    // `later`'s first diff while the leader keeps running: its outcome is
+    // cut there, not at the leader's retirement.
+    fi::BatchRunner narrow = fx.make_runner(1);
+    for (const fi::Injection& inj : plan) (void)narrow.submit(inj);
+    narrow.flush();
+    std::optional<fi::BatchRunner::SealRule> early;
+    for (const fi::BatchRunner::Merge& m : wide.merges()) {
+        const std::vector<runtime::Tick>& f = narrow.outcome(m.follower).first_diff;
+        const std::vector<runtime::Tick>& l = narrow.outcome(m.leader).first_diff;
+        std::optional<model::SignalId> extra;
+        std::optional<model::SignalId> later;
+        for (std::uint32_t s = 0; s < f.size(); ++s) {
+            if (f[s] < m.at && l[s] >= m.at) extra = model::SignalId{s};
+            if (f[s] >= m.at && f[s] != runtime::kInvalidTick) later = model::SignalId{s};
+        }
+        if (extra && later) {
+            early = fi::BatchRunner::SealRule{{}, {*extra, *later}};
+            break;
+        }
+    }
+    ASSERT_TRUE(early.has_value());
+    const fi::BatchRunner cut = expect_merged_match_width_one(
+        fx.sys.sim(), fx.injector, fx.golden, fi::BatchRunner::Mode::kPermeability, plan,
+        [&early](const fi::Injection&) { return early; });
+    EXPECT_TRUE(sealed_before_leader(cut));
+}
+
+TEST(BatchRunner, LanesMergeOnlyIntoALeaderStillMissingTheirDiffs) {
+    // In case 0, a flip of DIST_S's PACNT frame word at tick 7866 and a
+    // PACNT signal flip at tick 13106 reach the same state by tick 13248
+    // (both errors end up as the same pulscnt offset), but each lane has
+    // recorded a first diff the other lacks: the frame flip ms_slot_nbr
+    // and i, the signal flip PACNT itself. Neither may follow the other —
+    // the follower would take the leader's earlier first diff.
+    BatchFixture fx(0);
+    const model::SystemModel& system = fx.sys.system();
+    const runtime::MemoryMap& memory = fx.sys.sim().memory();
+    std::size_t frame_word = memory.word_count();
+    for (std::size_t w = 0; w < memory.word_count(); ++w) {
+        if (memory.word(w).label == "DIST_S.arg_PACNT") frame_word = w;
+    }
+    ASSERT_LT(frame_word, memory.word_count());
+    const model::SignalId pacnt = system.signal_id("PACNT");
+    const model::SignalId slot = system.signal_id("ms_slot_nbr");
+    const std::vector<fi::Injection> plan = {
+        fi::Injection::into_memory(frame_word, 2, 7866, /*period=*/0),
+        fi::Injection::into_signal(pacnt, 2, 13106)};
+    fi::BatchRunner narrow = fx.make_runner(1);
+    for (const fi::Injection& inj : plan) (void)narrow.submit(inj);
+    narrow.flush();
+    const fi::BatchOutcome& frame = narrow.outcome(0);
+    const fi::BatchOutcome& signal = narrow.outcome(1);
+    const runtime::Tick m = 13248;
+    EXPECT_LT(frame.first_diff[slot.index()], m);
+    EXPECT_GE(signal.first_diff[slot.index()], m);
+    EXPECT_LT(signal.first_diff[pacnt.index()], m);
+    EXPECT_GE(frame.first_diff[pacnt.index()], m);
+    // They merge once one has recorded all the other has.
+    const fi::BatchRunner wide = expect_merged_match_width_one(
+        fx.sys.sim(), fx.injector, fx.golden, fi::BatchRunner::Mode::kPermeability, plan,
+        [](const fi::Injection&) { return std::optional<fi::BatchRunner::SealRule>(); });
+    for (const fi::BatchRunner::Merge& mg : wide.merges()) EXPECT_GT(mg.at, m);
+}
+
+TEST(BatchRunner, MergedCoverageLanesMatchWidthOne) {
+    // Coverage outcomes carry the armed EAs' state and the plant's; a
+    // follower's is its leader's.
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[3]);
+    fi::Injector injector(sys.sim());
+    const fi::GoldenRun gr = fi::capture_golden_run(sys.sim(), target::kMaxRunTicks);
+    ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
+    bank.arm(sys.sim());
+    const auto golden = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_golden_data(sys.sim(), target::kMaxRunTicks, /*with_snapshots=*/true));
+    (void)expect_merged_match_width_one(
+        sys.sim(), injector, golden, fi::BatchRunner::Mode::kCoverage,
+        merge_plan(sys.system(), golden->run.length, 4),
+        [](const fi::Injection&) { return std::optional<fi::BatchRunner::SealRule>(); });
+    sys.sim().clear_monitors();
 }
 
 TEST(BatchRunner, PeriodicPlansMatchReplay) {

@@ -177,6 +177,31 @@ TEST(CheckpointTest, ShardResultRoundTripsAllKinds) {
     EXPECT_EQ(rec2.recovery.erm_cost.rom, 100u);
 }
 
+TEST(CheckpointTest, FastPathCountersRoundTripAndOlderCheckpointsLoad) {
+    ShardResult r;
+    r.kind = CampaignKind::kPermeability;
+    r.fastpath.lanes_launched = 40;
+    r.fastpath.lanes_retired_pruned = 20;
+    r.fastpath.lanes_retired_sealed = 10;
+    r.fastpath.lanes_retired_merged = 7;
+    r.fastpath.lanes_retired_end = 3;
+    const std::string text = r.to_json();
+    const ShardResult back = ShardResult::from_json(text);
+    EXPECT_EQ(back.to_json(), text);
+    EXPECT_EQ(back.fastpath.lanes_retired_merged, 7u);
+
+    // A checkpoint written before lanes could merge has no such counter.
+    std::string older = text;
+    const std::size_t key = older.find("\"lanes_retired_merged\"");
+    ASSERT_NE(key, std::string::npos);
+    older.erase(key, older.find(',', key) + 1 - key);
+    ASSERT_EQ(older.find("lanes_retired_merged"), std::string::npos);
+    const ShardResult old = ShardResult::from_json(older);
+    EXPECT_EQ(old.fastpath.lanes_retired_merged, 0u);
+    EXPECT_EQ(old.fastpath.lanes_retired_sealed, 10u);
+    EXPECT_EQ(old.fastpath.lanes_retired_end, 3u);
+}
+
 TEST(CheckpointTest, SaveLoadAndCorruptionHandling) {
     const std::string dir = temp_dir("checkpoint");
     std::filesystem::create_directories(dir);

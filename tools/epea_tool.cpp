@@ -964,6 +964,8 @@ int cmd_obs_report(const std::string& dir, bool as_json, std::size_t top_n) {
                       util::JsonValue(lane_counter("fi.lanes.retired_end")));
         lanes.emplace("retired_sealed",
                       util::JsonValue(lane_counter("fi.lanes.retired_sealed")));
+        lanes.emplace("retired_merged",
+                      util::JsonValue(lane_counter("fi.lanes.retired_merged")));
         root.emplace("lanes", util::JsonValue(std::move(lanes)));
         util::JsonObject quants;
         if (shard_wall != nullptr) {
@@ -1017,14 +1019,16 @@ int cmd_obs_report(const std::string& dir, bool as_json, std::size_t top_n) {
     }
     if (lane_counter("fi.lanes.launched") > 0) {
         std::printf("batch lanes: %llu launched / %llu pruned / %llu to end / "
-                    "%llu sealed\n",
+                    "%llu sealed / %llu merged\n",
                     static_cast<unsigned long long>(lane_counter("fi.lanes.launched")),
                     static_cast<unsigned long long>(
                         lane_counter("fi.lanes.retired_pruned")),
                     static_cast<unsigned long long>(
                         lane_counter("fi.lanes.retired_end")),
                     static_cast<unsigned long long>(
-                        lane_counter("fi.lanes.retired_sealed")));
+                        lane_counter("fi.lanes.retired_sealed")),
+                    static_cast<unsigned long long>(
+                        lane_counter("fi.lanes.retired_merged")));
     }
     if (shard_wall != nullptr) {
         std::printf("shard wall-clock quantiles: p50 %.2fs  p90 %.2fs  p99 %.2fs\n",
