@@ -284,11 +284,13 @@ void print_timing_json(std::FILE* f, const char* name, const CampaignTiming& t,
                      "    \"lanes_launched\": %llu,\n"
                      "    \"lanes_retired_pruned\": %llu,\n"
                      "    \"lanes_retired_sealed\": %llu,\n"
-                     "    \"lanes_retired_end\": %llu",
+                     "    \"lanes_retired_end\": %llu,\n"
+                     "    \"lanes_retired_merged\": %llu",
                      static_cast<unsigned long long>(t.stats.lanes_launched),
                      static_cast<unsigned long long>(t.stats.lanes_retired_pruned),
                      static_cast<unsigned long long>(t.stats.lanes_retired_sealed),
-                     static_cast<unsigned long long>(t.stats.lanes_retired_end));
+                     static_cast<unsigned long long>(t.stats.lanes_retired_end),
+                     static_cast<unsigned long long>(t.stats.lanes_retired_merged));
     }
     std::fprintf(f, "\n  }");
 }

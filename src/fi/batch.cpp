@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "fi/comparison.hpp"
+#include "obs/ledger.hpp"
 #include "obs/trace.hpp"
 
 namespace epea::fi {
@@ -69,6 +70,7 @@ void BatchRunner::flush() {
         return;
     }
     EPEA_OBS_SAMPLED_SPAN(span, "fi.batch_flush");
+    const std::uint64_t flush_start = obs::ledger_clock();
     const runtime::Tick len = golden_->run.length;
     const std::size_t signal_count = golden_->run.trace.signal_count();
     // One-shot lanes fork from the stride boundaries and read the end
@@ -132,10 +134,12 @@ void BatchRunner::flush() {
         set_bits(seal_masks_.data() + r * 2 * mask_words_, seal_rules_[r].any_of);
         set_bits(seal_masks_.data() + (r * 2 + 1) * mask_words_, seal_rules_[r].all_of);
     }
+    // Golden trace rows; reset-only data holds the system outputs' alone.
     golden_rows_.resize(signal_count);
     for (std::size_t s = 0; s < signal_count; ++s) {
-        golden_rows_[s] =
-            golden_->run.trace.series(model::SignalId{static_cast<std::uint32_t>(s)}).data();
+        const auto& series =
+            golden_->run.trace.series(model::SignalId{static_cast<std::uint32_t>(s)});
+        golden_rows_[s] = series.size() >= len ? series.data() : nullptr;
     }
     exits_.resize(outcomes_.size());
 
@@ -152,6 +156,10 @@ void BatchRunner::flush() {
     resolve_merges(first_merge);
 
     sim_->enable_trace(had_trace);
+    if constexpr (obs::kStageLedger) {
+        obs::stage_ledger().runner_cycles += obs::ledger_clock() - flush_start;
+        obs::publish_stage_ledger();
+    }
 }
 
 void BatchRunner::replay_pending() {
@@ -192,8 +200,10 @@ void BatchRunner::run_sweep(std::vector<Pending>& queue, bool periodic) {
     const auto& boundary = golden_->boundary;
     const std::size_t W = std::min(effective_width(), queue.size());
     const bool perm = mode_ == Mode::kPermeability;
+    obs::StageClock clock;
 
     state_.reset(runtime::SnapshotLayout::of(boundary[0]), W);
+    state_.set_golden(golden_rows_, len);
     runtime::BatchBackend* backend = sim_->batch_backend();
     if (!backend || !backend->begin(state_)) {
         if (!fallback_) fallback_ = std::make_unique<runtime::ScalarLaneBackend>(*sim_);
@@ -257,12 +267,15 @@ void BatchRunner::run_sweep(std::vector<Pending>& queue, bool periodic) {
         // One-shot lanes launch within kPruneCheckPeriod ticks of their
         // fork; most ticks have no schedule to scan.
         if (unfired_ > 0) launch_due(t);
+        clock.lap(obs::Stage::kForkLaunch);
         backend->step(state_, t);
         if (state_.launch_count() != 0) state_.clear_launches();
+        clock.lap(obs::Stage::kKernelStep);
         const runtime::Tick k = t + 1;
 
         // Post-step signals are trace row `t`.
         if (!periodic && t < len) scan_signals(t);
+        clock.lap(obs::Stage::kScan);
 
         for (std::size_t lane = 0; lane < state_.live();) {
             if (state_.finished(lane)) {
@@ -297,7 +310,11 @@ void BatchRunner::run_sweep(std::vector<Pending>& queue, bool periodic) {
             // The retired slot now holds the previously-last lane (or is
             // dead); re-examine the same index.
         }
-        if (!periodic && k % kMergeCheckPeriod == 0 && state_.live() > 1) merge_lanes(k);
+        clock.lap(obs::Stage::kRetire);
+        if (!periodic && k % kMergeCheckPeriod == 0 && state_.live() > 1) {
+            merge_lanes(k);
+            clock.lap(obs::Stage::kMergeCheck);
+        }
         ++t;
     }
     stats_.record_batch_width(launched);
@@ -343,35 +360,41 @@ void BatchRunner::scan_signals(runtime::Tick t) {
 
 void BatchRunner::merge_lanes(runtime::Tick k) {
     const std::size_t live = state_.live();
-    // Hash the signal, memory and environment rows of every live lane,
-    // word-major like the kernel, in 32 bits the lane loop vectorizes.
-    // The exact compare below spans all six sections, so the hash only
-    // has to bring equal states together.
-    hash_.assign(live, 0x811c9dc5U);
-    const auto mix = [this, live](const auto* row) {
-        for (std::size_t lane = 0; lane < live; ++lane) {
-            std::uint64_t w = row[lane];
-            w ^= w >> 32;
-            hash_[lane] = (hash_[lane] ^ static_cast<std::uint32_t>(w)) * 0x9e3779b1U;
+    // Candidates: fired lanes at least kMergeCheckPeriod ticks past their
+    // fork.
+    cand_slots_.clear();
+    for (std::size_t lane = 0; lane < live; ++lane) {
+        if (schedule_[lane].fired && lanes_[lane].t0 + kMergeCheckPeriod <= k) {
+            cand_slots_.push_back(lane);
+        }
+    }
+    if (cand_slots_.size() < 2) return;
+
+    // Hash the candidates' signal and memory rows in 32 bits. The exact
+    // compare below spans all six sections, so the hash only has to
+    // bring equal states together.
+    const std::size_t n = cand_slots_.size();
+    hash_.assign(n, 0x811c9dc5U);
+    const auto mix = [this, n](const std::uint32_t* row) {
+        for (std::size_t c = 0; c < n; ++c) {
+            hash_[c] = (hash_[c] ^ row[cand_slots_[c]]) * 0x9e3779b1U;
         }
     };
     const runtime::SnapshotLayout& layout = state_.layout();
     for (std::size_t w = 0; w < layout.signals; ++w) mix(state_.signals_row(w));
     for (std::size_t w = 0; w < layout.memory; ++w) mix(state_.memory_row(w));
-    for (std::size_t w = 0; w < layout.environment; ++w) mix(state_.environment_row(w));
 
-    // Candidates: fired lanes at least kMergeCheckPeriod ticks past their
-    // fork, sorted by (seal, hash) and, within equal keys, by pending
-    // signal count descending — the likeliest leader first.
+    // Sorted by (seal, hash) and, within equal keys, by pending signal
+    // count descending — the likeliest leader first.
     candidates_.clear();
-    for (std::size_t lane = 0; lane < live; ++lane) {
-        if (!schedule_[lane].fired || lanes_[lane].t0 + kMergeCheckPeriod > k) continue;
+    for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t lane = cand_slots_[c];
         std::uint64_t recorded = 0;
         for (std::size_t w = 0; w < mask_words_; ++w) {
             recorded += static_cast<std::uint64_t>(
                 std::popcount(~pending_mask_[lane * mask_words_ + w]));
         }
-        candidates_.emplace_back(std::uint64_t{lanes_[lane].seal} << 32 | hash_[lane],
+        candidates_.emplace_back(std::uint64_t{lanes_[lane].seal} << 32 | hash_[c],
                                  recorded << 32 | lane);
     }
     std::sort(candidates_.begin(), candidates_.end());
@@ -556,10 +579,7 @@ void BatchRunner::retire_lane(std::size_t lane, runtime::Tick k, Exit why) {
         out.environment = golden_->last.environment;
     } else {
         state_.extract_monitors(lane, out.monitors);
-        out.environment.resize(state_.layout().environment);
-        for (std::size_t w = 0; w < out.environment.size(); ++w) {
-            out.environment[w] = state_.environment_row(w)[lane];
-        }
+        state_.extract_environment(lane, out.environment);
     }
     drop_lane(lane);
 }

@@ -295,7 +295,8 @@ private:
     std::vector<std::uint64_t> diff_;         ///< [w * width + lane], rebuilt each tick
     std::vector<std::uint8_t> mismatch_;      ///< per-lane: some signal off golden this tick
     std::vector<std::uint8_t> fd_new_;        ///< lane recorded a first diff this tick
-    std::vector<std::uint32_t> hash_;         ///< per-lane state hash at a merge check
+    std::vector<std::size_t> cand_slots_;     ///< merge-check candidates' slots
+    std::vector<std::uint32_t> hash_;         ///< per candidate: signal and memory hash
     /// Merge candidates: ((seal << 32) | hash, (recorded signals << 32) | slot).
     std::vector<std::pair<std::uint64_t, std::uint64_t>> candidates_;
     std::vector<std::size_t> followers_;      ///< slots merged at this check

@@ -100,6 +100,16 @@ GoldenCaseData capture_reset_data(runtime::Simulator& sim, const GoldenCaseData&
     data.max_ticks = golden.max_ticks;
     data.run.length = golden.run.length;
     data.run.finished = golden.run.finished;
+    // The golden series of the signals the environment consumes: a lane's
+    // plant follows the golden run's until they differ (DESIGN.md §9).
+    const model::SystemModel& system = sim.system();
+    data.run.trace = runtime::Trace(golden.run.trace.signal_count());
+    for (const model::SignalId s : system.all_signals()) {
+        if (system.signal(s).role == model::SignalRole::kSystemOutput &&
+            s.index() < golden.run.trace.signal_count()) {
+            data.run.trace.set_series(s, golden.run.trace.series(s));
+        }
+    }
     sim.reset();
     sim.capture_snapshot(data.boundary.emplace_back());
     return data;

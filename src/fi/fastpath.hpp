@@ -120,7 +120,8 @@ inline constexpr runtime::Tick kPruneCheckPeriod = 8;
 /// boundary[i] is the complete mutable state after i*kPruneCheckPeriod
 /// completed ticks (i = 0..run.length/kPruneCheckPeriod), and `last` the
 /// state at run.length. Reset-only data (capture_reset_data) holds
-/// boundary[0] alone, no `last` and no trace.
+/// boundary[0] alone, no `last`, and of the trace only the series of the
+/// system outputs (what the environment consumes).
 struct GoldenCaseData {
     GoldenRun run;
     runtime::Tick max_ticks = 0;  ///< tick budget the run was captured under
@@ -140,9 +141,11 @@ struct GoldenCaseData {
                                                  bool with_snapshots);
 
 /// Reset-only golden data for periodic plans: `golden`'s run length,
-/// finish flag and tick budget, no trace, and one boundary snapshot — the
-/// reset state under the simulator's current monitors. Periodic lanes
-/// fork there and never prune, so they need no later boundary.
+/// finish flag and tick budget, its trace of the system-output signals
+/// (4 bytes a tick each; the plant of a lane follows the golden run's
+/// while these agree), and one boundary snapshot — the reset state under the
+/// simulator's current monitors. Periodic lanes fork there and never
+/// prune, so they need no later boundary.
 [[nodiscard]] GoldenCaseData capture_reset_data(runtime::Simulator& sim,
                                                 const GoldenCaseData& golden);
 

@@ -64,6 +64,12 @@ void BatchState::reset(const SnapshotLayout& layout, std::size_t width) {
     finished_.assign(width, 0);
     flips_.assign(width, BatchFlip{});
     launch_count_ = 0;
+    golden_rows_.clear();
+    golden_length_ = 0;
+    follow_ = false;
+    followers_ = 0;
+    follows_.assign(width, 0);
+    reference_.assign(layout.environment, 0);
 }
 
 std::size_t BatchState::activate(const Snapshot& boundary) {
@@ -77,12 +83,24 @@ std::size_t BatchState::activate(const Snapshot& boundary) {
     load_lane(lane, boundary);
     launching_[lane] = 0;
     finished_[lane] = 0;
+    if (follow_) {
+        if (followers_ == 0) reference_ = boundary.environment;
+        follows_[lane] = 1;
+        ++followers_;
+    }
     return lane;
+}
+
+void BatchState::stop_following(std::size_t lane) noexcept {
+    scatter_column(environment_, width_, lane, reference_);
+    follows_[lane] = 0;
+    --followers_;
 }
 
 std::size_t BatchState::retire(std::size_t lane) {
     const std::size_t last = --live_;
     if (launching_[lane] != 0) --launch_count_;
+    if (follows_[lane] != 0) --followers_;
     if (lane != last) {
         swap_columns(signals_, layout_.signals, width_, lane, last);
         swap_columns(memory_, layout_.memory, width_, lane, last);
@@ -93,8 +111,10 @@ std::size_t BatchState::retire(std::size_t lane) {
         std::swap(launching_[lane], launching_[last]);
         std::swap(finished_[lane], finished_[last]);
         std::swap(flips_[lane], flips_[last]);
+        follows_[lane] = follows_[last];
     }
     launching_[last] = 0;
+    follows_[last] = 0;
     return last;
 }
 
@@ -102,12 +122,16 @@ void BatchState::assemble(std::size_t lane, Snapshot& out) const {
     gather_column(signals_, layout_.signals, width_, lane, out.signals);
     gather_column(memory_, layout_.memory, width_, lane, out.memory);
     gather_column(behaviours_, layout_.behaviours, width_, lane, out.behaviours);
-    gather_column(environment_, layout_.environment, width_, lane, out.environment);
+    extract_environment(lane, out.environment);
     gather_column(monitors_, layout_.monitors, width_, lane, out.monitors);
     gather_column(recoverers_, layout_.recoverers, width_, lane, out.recoverers);
 }
 
 void BatchState::load_lane(std::size_t lane, const Snapshot& snap) {
+    if (follows_[lane] != 0) {
+        follows_[lane] = 0;
+        --followers_;
+    }
     scatter_column(signals_, width_, lane, snap.signals);
     scatter_column(memory_, width_, lane, snap.memory);
     scatter_column(behaviours_, width_, lane, snap.behaviours);
@@ -120,22 +144,38 @@ bool BatchState::lane_equals(std::size_t lane, const Snapshot& snap) const noexc
     return column_equals(signals_, width_, lane, snap.signals) &&
            column_equals(memory_, width_, lane, snap.memory) &&
            column_equals(behaviours_, width_, lane, snap.behaviours) &&
-           column_equals(environment_, width_, lane, snap.environment) &&
+           (follows_[lane] != 0 ? reference_ == snap.environment
+                                : column_equals(environment_, width_, lane, snap.environment)) &&
            column_equals(monitors_, width_, lane, snap.monitors) &&
            column_equals(recoverers_, width_, lane, snap.recoverers);
 }
 
 bool BatchState::lanes_equal(std::size_t a, std::size_t b) const noexcept {
+    // Two followers hold the same words, the column's.
+    const auto environments_equal = [&] {
+        if (follows_[a] != 0 && follows_[b] != 0) return true;
+        if (follows_[a] != 0) return column_equals(environment_, width_, b, reference_);
+        if (follows_[b] != 0) return column_equals(environment_, width_, a, reference_);
+        return columns_equal(environment_, layout_.environment, width_, a, b);
+    };
     return columns_equal(signals_, layout_.signals, width_, a, b) &&
            columns_equal(memory_, layout_.memory, width_, a, b) &&
            columns_equal(behaviours_, layout_.behaviours, width_, a, b) &&
-           columns_equal(environment_, layout_.environment, width_, a, b) &&
+           environments_equal() &&
            columns_equal(monitors_, layout_.monitors, width_, a, b) &&
            columns_equal(recoverers_, layout_.recoverers, width_, a, b);
 }
 
 void BatchState::extract_monitors(std::size_t lane, std::vector<std::uint64_t>& out) const {
     gather_column(monitors_, layout_.monitors, width_, lane, out);
+}
+
+void BatchState::extract_environment(std::size_t lane, std::vector<std::uint64_t>& out) const {
+    if (follows_[lane] != 0) {
+        out.assign(reference_.begin(), reference_.end());
+    } else {
+        gather_column(environment_, layout_.environment, width_, lane, out);
+    }
 }
 
 bool ScalarLaneBackend::begin(BatchState&) { return sim_->snapshot_supported(); }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/ids.hpp"
@@ -70,6 +71,17 @@ struct SnapshotLayout {
 /// live lane into its slot so the hot loops only ever touch a dense
 /// prefix. Per-lane launch flips and finished flags ride along so a
 /// backend needs no side tables.
+///
+/// Plant follows golden (DESIGN.md §9): lanes fork from golden
+/// boundaries, and a lane's environment state depends only on that fork
+/// and on the system outputs it consumed since. While those equal the
+/// golden run's, the lane "follows": its environment words are the
+/// golden run's at the current tick, held once per batch in the
+/// reference column, and its own environment rows are stale. Every
+/// read of a lane's environment words here (compares, assemble,
+/// extract_environment) serves a follower's from the column, so callers
+/// see exactly the words the lane would hold. Only a backend that steps
+/// the column turns following on (follow_golden()).
 class BatchState {
 public:
     /// Re-shapes for a new batch of up to `width` lanes (capacity is
@@ -93,6 +105,8 @@ public:
     [[nodiscard]] std::uint64_t* behaviours_row(std::size_t word) noexcept {
         return behaviours_.data() + word * width_;
     }
+    /// A follower's entries in these rows are stale: read its words
+    /// through extract_environment() (or the reference column).
     [[nodiscard]] std::uint64_t* environment_row(std::size_t word) noexcept {
         return environment_.data() + word * width_;
     }
@@ -103,11 +117,44 @@ public:
         return recoverers_.data() + word * width_;
     }
 
+    // -- plant follows golden -----------------------------------------------
+
+    /// The golden run the lanes fork from: per signal, its post-step
+    /// value row (nullptr where the golden data holds none), `length`
+    /// ticks long. Cleared by reset().
+    void set_golden(std::span<const std::uint32_t* const> rows, Tick length) {
+        golden_rows_.assign(rows.begin(), rows.end());
+        golden_length_ = length;
+    }
+    [[nodiscard]] const std::uint32_t* golden_row(std::size_t signal) const noexcept {
+        return signal < golden_rows_.size() ? golden_rows_[signal] : nullptr;
+    }
+    [[nodiscard]] Tick golden_length() const noexcept { return golden_length_; }
+
+    /// Lanes activated from now on (until reset()) follow the golden
+    /// environment. A backend turns this on in begin() when it steps the
+    /// reference column.
+    void follow_golden() noexcept { follow_ = true; }
+    /// Live lanes that follow.
+    [[nodiscard]] std::size_t followers() const noexcept { return followers_; }
+    [[nodiscard]] bool follows(std::size_t lane) const noexcept { return follows_[lane] != 0; }
+    /// Per-lane follow flags (non-zero = follows), for lane loops.
+    [[nodiscard]] const std::uint8_t* follow_flags() const noexcept { return follows_.data(); }
+    /// The reference column: the golden run's environment words at the
+    /// current tick. Valid while followers() > 0; the backend steps it
+    /// once per tick for all followers.
+    [[nodiscard]] std::span<std::uint64_t> reference() noexcept { return reference_; }
+    /// Ends `lane`'s following for good: its environment rows take the
+    /// reference column's words.
+    void stop_following(std::size_t lane) noexcept;
+
     // -- lane lifecycle -----------------------------------------------------
 
     /// Forks a new lane from `boundary` (its section shapes must match
     /// the layout). Returns the lane slot; the lane starts not-launching,
-    /// not-finished.
+    /// not-finished, and following when follow_golden() is on — the
+    /// first follower after none loads the reference column from
+    /// `boundary`, later ones must fork at the column's tick.
     std::size_t activate(const Snapshot& boundary);
 
     /// Retires `lane` by swapping the last live lane into its slot.
@@ -139,12 +186,15 @@ public:
     [[nodiscard]] bool finished(std::size_t lane) const noexcept {
         return finished_[lane] != 0;
     }
+    /// Per-lane finished flags (0 or 1), for lane loops.
+    [[nodiscard]] std::uint8_t* finished_flags() noexcept { return finished_.data(); }
 
     // -- whole-lane operations ----------------------------------------------
 
     /// Gathers one lane into a contiguous Snapshot (capacity reused).
     void assemble(std::size_t lane, Snapshot& out) const;
-    /// Scatters a contiguous Snapshot into one lane's columns.
+    /// Scatters a contiguous Snapshot into one lane's columns; the lane
+    /// stops following.
     void load_lane(std::size_t lane, const Snapshot& snap);
     /// Bit-exact comparison of one lane against a snapshot (tick
     /// excluded) — the convergence-prune confirmation.
@@ -155,6 +205,8 @@ public:
     /// Copies one lane's monitor section into `out` (detection state of
     /// a retired coverage lane).
     void extract_monitors(std::size_t lane, std::vector<std::uint64_t>& out) const;
+    /// Copies one lane's environment section into `out`.
+    void extract_environment(std::size_t lane, std::vector<std::uint64_t>& out) const;
 
 private:
     SnapshotLayout layout_;
@@ -170,6 +222,12 @@ private:
     std::vector<std::uint8_t> launching_;
     std::vector<std::uint8_t> finished_;
     std::vector<BatchFlip> flips_;
+    std::vector<const std::uint32_t*> golden_rows_;
+    Tick golden_length_ = 0;
+    bool follow_ = false;
+    std::size_t followers_ = 0;
+    std::vector<std::uint8_t> follows_;
+    std::vector<std::uint64_t> reference_;
 };
 
 class Simulator;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "model/system_model.hpp"
@@ -42,6 +43,11 @@ public:
     [[nodiscard]] std::optional<Tick> first_difference(
         const Trace& other, model::SignalId id,
         bool include_length_mismatch = true) const;
+
+    /// Replaces one signal's history (e.g. to keep a subset of a trace).
+    void set_series(model::SignalId id, std::vector<std::uint32_t> values) {
+        per_signal_.at(id.index()) = std::move(values);
+    }
 
     void clear();
     void reserve(Tick ticks);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <stdexcept>
 
+#include "obs/ledger.hpp"
 #include "target/modules.hpp"
 #include "util/bitops.hpp"
 
@@ -32,6 +34,16 @@ struct PortRows {
     std::array<std::uint32_t*, kMaxPorts> out{};
     std::array<std::uint8_t, kMaxPorts> width{};
     std::size_t stride = 0;
+};
+
+/// The reference column's sensor outputs, masked as LaneIo masks them.
+struct SensorValues {
+    const PortRows& rows;
+    std::array<std::uint32_t, kMaxPorts> value{};
+
+    void out(std::size_t port, std::uint32_t v) noexcept {
+        value[port] = util::mask_width(v, rows.width[port]);
+    }
 };
 
 /// One lane's ModuleContext: inputs from its frame rows, outputs to its
@@ -139,12 +151,18 @@ bool ArrestmentBatchBackend::begin(runtime::BatchState& state) {
         if (!ea) return false;
         eas_.push_back(EaRef{ea->signal().index(), ea->params()});
     }
-    return layout.monitors == eas_.size() * 4;
+    if (layout.monitors != eas_.size() * 4) return false;
+    // Lanes fork from golden boundaries; with the golden actuator series
+    // at hand, their plants follow the golden run's until their TOC2
+    // differs (DESIGN.md §9).
+    if (state.golden_row(actuator_) != nullptr) state.follow_golden();
+    return true;
 }
 
 void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
     const std::size_t n = st.live();
     if (n == 0) return;
+    obs::StageClock clock;
     const std::size_t W = st.width();
     std::uint32_t* const sig0 = st.signals_row(0);
     std::uint32_t* const mem0 = st.memory_row(0);
@@ -174,16 +192,36 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
     };
 
     // ------------------------------------------------------ plant sense
+    // The reference column is sensed once; its followers take its sensor
+    // values instead of running the plant.
+    const std::size_t following = st.followers();
+    std::uint64_t* const reference = st.reference().data();
+    if (following != 0 && now >= st.golden_length()) {
+        throw std::logic_error("ArrestmentBatchBackend: a lane follows past the golden end");
+    }
+    if constexpr (obs::kStageLedger) obs::stage_ledger().follower_lane_ticks += following;
     {
         const PortRows rows = port_rows(sensors_);
         const PlantConstants pc = plant_->constants();
         const double mass_kg = plant_->test_case().mass_kg;
-        for (std::size_t lane = 0; lane < n; ++lane) {
-            LaneWords<std::uint64_t> s{env0 + lane, W};
-            LaneIo io{rows, lane};
-            Plant::sense_words(s, io, pc, mass_kg);
+        if (following != 0) {
+            SensorValues golden{rows};
+            Plant::sense_words(reference, golden, pc, mass_kg);
+            for (std::size_t p = 0; p < sensors_.outputs.size(); ++p) {
+                std::fill_n(rows.out[p], n, golden.value[p]);
+            }
+        }
+        if (following != n) {
+            const std::uint8_t* const follows = st.follow_flags();
+            for (std::size_t lane = 0; lane < n; ++lane) {
+                if (follows[lane] != 0) continue;
+                LaneWords<std::uint64_t> s{env0 + lane, W};
+                LaneIo io{rows, lane};
+                Plant::sense_words(s, io, pc, mass_kg);
+            }
         }
     }
+    clock.lap(obs::Stage::kPlantSense);
 
     // ------------------------------------------- signal-point launch flips
     const bool launching_any = st.launch_count() != 0;
@@ -195,6 +233,7 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
             std::uint32_t* row = sg(f.signal.index());
             row[lane] = util::flip_bit(row[lane], f.bit, sim_->signals().width(f.signal));
         }
+        clock.lap(obs::Stage::kLaunches);
     }
 
     // ------------------------------------------------------- frame loads
@@ -203,6 +242,7 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
             std::copy_n(sg(b.inputs[p]), n, mw(b.frame + p));
         }
     }
+    clock.lap(obs::Stage::kFrameLoads);
 
     // ----------------------------------- frame/memory-point launch flips
     if (launching_any) {
@@ -223,10 +263,12 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
                 row[lane] = util::flip_bit(row[lane], f.bit, width);
             }
         }
+        clock.lap(obs::Stage::kLaunches);
     }
 
     // ----------------------------------------------------------- modules
     stage(kClock, [](auto& s, auto& io, std::size_t) { ClockModule::step_words(s, io); });
+    clock.lap(obs::Stage::kClock);
     {
         const SoftwareConfig cfg = dist_->config();
         std::uint64_t* const first = st.behaviours_row(0);
@@ -234,14 +276,19 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
             DistSModule::step_words(s, io, first[lane], cfg);
         });
     }
+    clock.lap(obs::Stage::kDistS);
     {
         const SoftwareConfig cfg = calc_->config();
         stage(kCalc,
               [&](auto& s, auto& io, std::size_t) { CalcModule::step_words(s, io, cfg); });
     }
+    clock.lap(obs::Stage::kCalc);
     stage(kPresS, [](auto& s, auto& io, std::size_t) { PresSModule::step_words(s, io); });
+    clock.lap(obs::Stage::kPresS);
     stage(kVReg, [](auto& s, auto& io, std::size_t) { VRegModule::step_words(s, io); });
+    clock.lap(obs::Stage::kVReg);
     stage(kPresA, [](auto& s, auto& io, std::size_t) { PresAModule::step_words(s, io); });
+    clock.lap(obs::Stage::kPresA);
 
     // ------------------------------------------------------ EAs (observe)
     // The rule is chosen once per EA and tick; the lane loop runs it inlined.
@@ -271,17 +318,44 @@ void ArrestmentBatchBackend::step(runtime::BatchState& st, runtime::Tick now) {
             case kDiscrete: observe.template operator()<kDiscrete>(); break;
         }
     }
+    clock.lap(obs::Stage::kEas);
 
     // ---------------------------------------------------- plant actuate
+    // A follower whose TOC2 differs from the golden run's stops following
+    // for good: it takes the column's post-sense words and actuates on its
+    // own. The rest take the column's finished flag, and the column
+    // actuates with the golden TOC2.
     {
         const std::uint32_t* const toc2 = sg(actuator_);
         const std::uint64_t settle_ticks = plant_->constants().settle_ticks;
-        for (std::size_t lane = 0; lane < n; ++lane) {
-            LaneWords<std::uint64_t> s{env0 + lane, W};
-            Plant::actuate_words(s, toc2[lane]);
-            st.set_finished(lane, Plant::finished_words(s, settle_ticks));
+        const std::uint8_t* const follows = st.follow_flags();
+        std::uint8_t* const finished = st.finished_flags();
+        if (following != 0) {
+            const std::uint32_t golden_toc2 = st.golden_row(actuator_)[now];
+            std::uint32_t diverged = 0;
+            for (std::size_t lane = 0; lane < n; ++lane) {
+                diverged |= follows[lane] & static_cast<std::uint32_t>(toc2[lane] != golden_toc2);
+            }
+            if (diverged != 0) {
+                clock.lap(obs::Stage::kActuate);
+                for (std::size_t lane = 0; lane < n; ++lane) {
+                    if (follows[lane] != 0 && toc2[lane] != golden_toc2) st.stop_following(lane);
+                }
+                clock.lap(obs::Stage::kMaterialize);
+            }
+            Plant::actuate_words(reference, golden_toc2);
+            std::fill_n(finished, n, Plant::finished_words(reference, settle_ticks) ? 1 : 0);
+        }
+        if (st.followers() != n) {
+            for (std::size_t lane = 0; lane < n; ++lane) {
+                if (follows[lane] != 0) continue;
+                LaneWords<std::uint64_t> s{env0 + lane, W};
+                Plant::actuate_words(s, toc2[lane]);
+                finished[lane] = Plant::finished_words(s, settle_ticks) ? 1 : 0;
+            }
         }
     }
+    clock.lap(obs::Stage::kActuate);
 }
 
 }  // namespace epea::target

@@ -25,6 +25,8 @@
 #include "fi/comparison.hpp"
 #include "fi/fastpath.hpp"
 #include "fi/injection.hpp"
+#include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
 #include "synth/generator.hpp"
 #include "target/arrestment_system.hpp"
 
@@ -126,6 +128,42 @@ std::vector<fi::Injection> mixed_plan(const model::SystemModel& system,
     }
     return plan;
 }
+
+/// Wraps the fused kernel: counts the lane-ticks whose plant follows the
+/// golden run and those that run their own, and before every stride
+/// tick's step checks the reference column against the golden boundary's
+/// environment words.
+class FollowProbe final : public runtime::BatchBackend {
+public:
+    FollowProbe(runtime::BatchBackend& kernel, const fi::GoldenCaseData& golden)
+        : kernel_(&kernel), golden_(&golden) {}
+
+    bool begin(runtime::BatchState& st) override { return kernel_->begin(st); }
+    void step(runtime::BatchState& st, runtime::Tick now) override {
+        const std::size_t stride = now / fi::kPruneCheckPeriod;
+        if (st.followers() > 0 && now % fi::kPruneCheckPeriod == 0 &&
+            stride < golden_->boundary.size()) {
+            ++column_checks;
+            const std::vector<std::uint64_t>& env = golden_->boundary[stride].environment;
+            if (!std::equal(st.reference().begin(), st.reference().end(), env.begin(),
+                            env.end())) {
+                ++column_mismatches;
+            }
+        }
+        follower_ticks += st.followers();
+        own_ticks += st.live() - st.followers();
+        kernel_->step(st, now);
+    }
+
+    std::size_t column_checks = 0;
+    std::size_t column_mismatches = 0;
+    std::size_t follower_ticks = 0;
+    std::size_t own_ticks = 0;
+
+private:
+    runtime::BatchBackend* kernel_;
+    const fi::GoldenCaseData* golden_;
+};
 
 TEST(BatchRunner, OutcomesMatchSlowPathAndLanesPruneMidBatch) {
     BatchFixture fx;
@@ -885,6 +923,142 @@ TEST(ArrestmentBatchBackend, LaneTracksTheScalarSimulatorEveryTick) {
     sim.clear_monitors();
 }
 
+TEST(ArrestmentBatchBackend, FollowingLaneTracksTheScalarSimulatorThroughItsFirstToc2Diff) {
+    // Two lanes fork from a golden boundary and follow the golden plant.
+    // Lane 0 takes a frame flip that changes TOC2 on its tick, at each
+    // offset 0-7 within the stride: it stops following exactly then, and
+    // holds the scalar simulator's whole state and finished flag every
+    // tick. Lane 1 never flips and holds the golden boundaries to the end.
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[3]);
+    runtime::Simulator& sim = sys.sim();
+    const fi::GoldenRun gr = fi::capture_golden_run(sim, target::kMaxRunTicks);
+    ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
+    bank.arm(sim);
+    const fi::GoldenCaseData golden =
+        fi::capture_golden_data(sim, target::kMaxRunTicks, /*with_snapshots=*/true);
+    const runtime::Tick len = golden.run.length;
+    std::vector<const std::uint32_t*> rows;
+    for (const model::SignalId sid : sys.system().all_signals()) {
+        rows.push_back(golden.run.trace.series(sid).data());
+    }
+    const model::SignalId toc2 = sys.plant().actuator();
+    runtime::BatchFlip flip;
+    flip.point = runtime::BatchFlip::Point::kFrame;
+    flip.module = sys.system().module_id("PRES_A");
+    flip.port = 0;
+    flip.bit = 15;
+    runtime::BatchBackend* kernel = sim.batch_backend();
+    const runtime::Tick t0 = len / 2 / fi::kPruneCheckPeriod * fi::kPruneCheckPeriod;
+    const runtime::Snapshot& fork = golden.boundary[t0 / fi::kPruneCheckPeriod];
+
+    for (runtime::Tick offset = 0; offset < fi::kPruneCheckPeriod; ++offset) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        runtime::BatchState state;
+        state.reset(runtime::SnapshotLayout::of(fork), 2);
+        state.set_golden(rows, len);
+        ASSERT_TRUE(kernel->begin(state));
+        ASSERT_EQ(state.activate(fork), 0U);
+        ASSERT_EQ(state.activate(fork), 1U);
+        ASSERT_EQ(state.followers(), 2U);
+        sim.restore_snapshot(fork);
+        runtime::Snapshot snap;
+        runtime::Snapshot lane;
+        bool lane1_live = true;
+        runtime::Tick t = t0;
+        for (; t < target::kMaxRunTicks; ++t) {
+            std::vector<runtime::BatchFlip> flips;
+            if (t == t0 + offset) {
+                flips.push_back(flip);
+                state.set_launch(0, flip);
+            }
+            kernel->step(state, t);
+            state.clear_launches();
+            sim.step_tick(flips);
+            sim.capture_snapshot(snap);
+            if (t == t0 + offset) {
+                ASSERT_NE(sim.signals().get(toc2), golden.run.trace.at(toc2, t));
+            }
+            ASSERT_EQ(state.follows(0), t < t0 + offset) << "tick " << t;
+            ASSERT_TRUE(state.lane_equals(0, snap)) << "tick " << t;
+            state.assemble(0, lane);
+            lane.tick = snap.tick;
+            ASSERT_TRUE(lane.same_state(snap)) << "tick " << t;
+            ASSERT_EQ(state.finished(0), sim.environment().finished()) << "tick " << t;
+            if (lane1_live) {
+                const runtime::Tick k = t + 1;
+                ASSERT_TRUE(state.follows(1));
+                if (k % fi::kPruneCheckPeriod == 0 && k < len) {
+                    ASSERT_TRUE(state.lane_equals(1, golden.boundary[k / fi::kPruneCheckPeriod]))
+                        << "tick " << t;
+                }
+                ASSERT_EQ(state.finished(1), k == len && golden.run.finished) << "tick " << t;
+                if (k == len) {
+                    EXPECT_TRUE(state.lane_equals(1, golden.last));
+                    (void)state.retire(1);
+                    lane1_live = false;
+                }
+            }
+            if (state.finished(0)) break;
+        }
+        EXPECT_TRUE(state.finished(0));
+        EXPECT_GT(t, t0 + offset);
+    }
+    sim.clear_monitors();
+}
+
+TEST(BatchState, FollowersServeTheReferenceColumnToEveryEnvironmentRead) {
+    // A follower's own environment rows are stale; compares, assemble and
+    // extract_environment read its words from the reference column.
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[3]);
+    sys.sim().reset();
+    runtime::Snapshot snap;
+    sys.sim().capture_snapshot(snap);
+    const std::vector<std::uint32_t> actuator_row(10, 0);
+    std::vector<const std::uint32_t*> rows(snap.signals.size(), actuator_row.data());
+
+    runtime::BatchState state;
+    state.reset(runtime::SnapshotLayout::of(snap), 3);
+    state.set_golden(rows, 10);
+    state.follow_golden();
+    for (std::size_t lane = 0; lane < 3; ++lane) ASSERT_EQ(state.activate(snap), lane);
+    ASSERT_EQ(state.followers(), 3U);
+    EXPECT_TRUE(std::ranges::equal(state.reference(), snap.environment));
+
+    state.stop_following(2);
+    EXPECT_FALSE(state.follows(2));
+    EXPECT_EQ(state.followers(), 2U);
+    // Stale rows of the followers do not count; the reference column does.
+    state.environment_row(0)[0] ^= 1;
+    EXPECT_TRUE(state.lanes_equal(0, 2));
+    EXPECT_TRUE(state.lane_equals(0, snap));
+    state.environment_row(0)[2] ^= 1;
+    EXPECT_FALSE(state.lanes_equal(0, 2));
+    EXPECT_FALSE(state.lanes_equal(2, 0));
+    EXPECT_TRUE(state.lanes_equal(0, 1));
+    EXPECT_FALSE(state.lane_equals(2, snap));
+    state.reference()[1] ^= 1;
+    EXPECT_FALSE(state.lane_equals(0, snap));
+    EXPECT_TRUE(state.lanes_equal(0, 1));
+    std::vector<std::uint64_t> env;
+    state.extract_environment(0, env);
+    EXPECT_TRUE(std::ranges::equal(env, state.reference()));
+    runtime::Snapshot lane;
+    state.assemble(1, lane);
+    EXPECT_EQ(lane.environment, env);
+    state.extract_environment(2, env);
+    EXPECT_EQ(env[0], snap.environment[0] ^ 1);
+
+    // Retiring and reloading keep the follow flags with their lanes.
+    EXPECT_EQ(state.retire(0), 2U);
+    EXPECT_FALSE(state.follows(0));
+    EXPECT_EQ(state.followers(), 1U);
+    state.load_lane(1, snap);
+    EXPECT_FALSE(state.follows(1));
+    EXPECT_EQ(state.followers(), 0U);
+}
+
 TEST(BatchRunner, StrideFloorForksMatchReplayOnScalarLaneBackend) {
     alt::TankSystem tank;
     tank.configure(alt::standard_tank_scenarios().front());
@@ -922,6 +1096,197 @@ TEST(GoldenCapture, StoresStrideBoundariesAndTheEndState) {
     const std::size_t per_tick =
         bare.approx_bytes() + (len + 1) * golden.boundary[0].approx_bytes();
     EXPECT_LE(4 * golden.approx_bytes(), per_tick);
+}
+
+TEST(BatchRunner, ReferenceColumnIsTheGoldenEnvironmentAtEveryStrideTick) {
+    // A permeability flush whose lanes mostly follow the golden plant and
+    // partly stop following: the reference column holds boundary[k/8]'s
+    // environment words at every stride tick it is read, and the
+    // outcomes are replay's.
+    BatchFixture fx;
+    runtime::Simulator& sim = fx.sys.sim();
+    const runtime::Tick len = fx.golden->run.length;
+    std::vector<fi::Injection> plan = mixed_plan(fx.sys.system(), len);
+    for (std::size_t w = 0; w < sim.memory().word_count(); ++w) {
+        plan.push_back(fi::Injection::into_memory(w, 3, len / 3 + w % 8, 0));
+    }
+    runtime::BatchBackend* kernel = sim.batch_backend();
+    FollowProbe probe(*kernel, *fx.golden);
+    sim.set_batch_backend(&probe);
+    fi::BatchRunner batch = fx.make_runner();
+    std::vector<std::size_t> tickets;
+    for (const fi::Injection& inj : plan) tickets.push_back(batch.submit(inj));
+    batch.flush();
+    sim.set_batch_backend(kernel);
+
+    EXPECT_GT(probe.column_checks, len / fi::kPruneCheckPeriod / 2);
+    EXPECT_EQ(probe.column_mismatches, 0U);
+    EXPECT_GT(probe.follower_ticks, 0U);
+    EXPECT_GT(probe.own_ticks, 0U);  // some lanes' TOC2 differed
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        const ReplayRef ref = fx.replay(plan[i]);
+        EXPECT_EQ(batch.outcome(tickets[i]).fired, ref.fired) << "plan " << i;
+        EXPECT_EQ(batch.outcome(tickets[i]).first_diff, ref.first_diff) << "plan " << i;
+    }
+}
+
+TEST(BatchRunner, CoverageLaneFollowingToTheGoldenFinishRetiresWithTheGoldenEnd) {
+    // One-shot coverage lanes whose TOC2 never differs from the golden
+    // run's follow its plant to the finish: they retire there with the
+    // golden end state's environment words, as replay leaves them.
+    target::ArrestmentSystem sys;
+    sys.configure(target::standard_test_cases()[3]);
+    runtime::Simulator& sim = sys.sim();
+    fi::Injector injector(sim);
+    const fi::GoldenRun gr = fi::capture_golden_run(sim, target::kMaxRunTicks);
+    ea::EaBank bank = exp::make_calibrated_bank(sys.system(), {gr.trace});
+    bank.arm(sim);
+    const auto golden = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_golden_data(sim, target::kMaxRunTicks, /*with_snapshots=*/true));
+    const runtime::Tick len = golden->run.length;
+    const std::size_t toc2 = sys.plant().actuator().index();
+
+    std::vector<fi::Injection> plan;
+    for (const model::SignalId sid : sys.system().all_signals()) {
+        plan.push_back(
+            fi::Injection::into_signal(sid, sys.system().signal(sid).width - 1U, len / 2));
+    }
+    std::vector<ReplayRef> refs;
+    std::vector<fi::BatchOutcome> covs;
+    for (const fi::Injection& inj : plan) {
+        refs.push_back(replay_ref(sim, injector, *golden, inj));
+        covs.push_back(coverage_replay(sim, injector, inj, target::kMaxRunTicks, 1));
+    }
+
+    fi::BatchRunner batch(sim, injector);
+    batch.set_mode(fi::BatchRunner::Mode::kCoverage);
+    batch.set_golden(golden);
+    std::vector<std::size_t> tickets;
+    for (const fi::Injection& inj : plan) tickets.push_back(batch.submit(inj));
+    batch.flush();
+
+    std::size_t followed_to_finish = 0;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        SCOPED_TRACE("plan " + std::to_string(i));
+        const fi::BatchOutcome& oc = batch.outcome(tickets[i]);
+        if (oc.pruned) {
+            EXPECT_EQ(oc.environment, golden->last.environment);
+            continue;
+        }
+        expect_coverage_equal(oc, covs[i]);
+        if (refs[i].first_diff[toc2] != runtime::kInvalidTick) continue;
+        ++followed_to_finish;
+        EXPECT_EQ(oc.environment, golden->last.environment);
+        EXPECT_EQ(oc.end_tick, len);
+        EXPECT_EQ(oc.finished, golden->run.finished);
+    }
+    EXPECT_GT(followed_to_finish, 0U);
+    sim.clear_monitors();
+}
+
+TEST(BatchRunner, PeriodicLanesFollowTheGoldenPlantOnlyWithItsToc2Series) {
+    // Reset-only data carries the golden TOC2 series alone; with it,
+    // periodic lanes follow the golden plant until their TOC2 differs,
+    // without it they all run their own — and both match replay.
+    BatchFixture fx;
+    runtime::Simulator& sim = fx.sys.sim();
+    ea::EaBank bank =
+        exp::make_calibrated_bank(fx.sys.system(), {fx.golden->run.trace});
+    bank.arm(sim);
+    const auto reset = std::make_shared<const fi::GoldenCaseData>(
+        fi::capture_reset_data(sim, *fx.golden));
+    const model::SignalId toc2 = fx.sys.plant().actuator();
+    for (const model::SignalId sid : fx.sys.system().all_signals()) {
+        EXPECT_EQ(reset->run.trace.series(sid).size(),
+                  sid == toc2 ? fx.golden->run.length : 0U);
+    }
+    EXPECT_EQ(reset->run.trace.series(toc2), fx.golden->run.trace.series(toc2));
+    auto bare = std::make_shared<fi::GoldenCaseData>(*reset);
+    bare->run.trace.set_series(toc2, {});
+
+    std::vector<fi::Injection> plans;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t w = 0; w < sim.memory().word_count(); w += 4) {
+        plans.push_back(fi::Injection::into_memory(w, fi::kRandomBit, 10, 20));
+        seeds.push_back(0x5e7e8eULL + w);
+    }
+    std::vector<fi::BatchOutcome> refs;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        refs.push_back(
+            coverage_replay(sim, fx.injector, plans[i], fx.golden->max_ticks, seeds[i]));
+    }
+
+    runtime::BatchBackend* kernel = sim.batch_backend();
+    for (const bool with_series : {true, false}) {
+        SCOPED_TRACE(with_series ? "with TOC2 series" : "without");
+        FollowProbe probe(*kernel, *fx.golden);
+        sim.set_batch_backend(&probe);
+        fi::BatchRunner batch(sim, fx.injector);
+        batch.set_mode(fi::BatchRunner::Mode::kCoverage);
+        batch.set_golden(with_series ? reset
+                                     : std::shared_ptr<const fi::GoldenCaseData>(bare));
+        std::vector<std::size_t> tickets;
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            tickets.push_back(batch.submit(plans[i], fi::BatchRunner::kNoSeal, seeds[i]));
+        }
+        batch.flush();
+        sim.set_batch_backend(kernel);
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            SCOPED_TRACE("plan " + std::to_string(i));
+            expect_coverage_equal(batch.outcome(tickets[i]), refs[i]);
+        }
+        EXPECT_EQ(probe.column_mismatches, 0U);
+        if (with_series) {
+            EXPECT_GT(probe.column_checks, 0U);
+            EXPECT_GT(probe.follower_ticks, 0U);
+            EXPECT_GT(probe.own_ticks, 0U);
+        } else {
+            EXPECT_EQ(probe.follower_ticks, 0U);
+        }
+    }
+    sim.clear_monitors();
+}
+
+TEST(StageLedger, StagesAddUpToTheRunnerCycles) {
+    // Compiled in (EPEA_STAGE_LEDGER=ON), a flush publishes its stage
+    // cycles, and the runner stages cover its cycles; compiled out,
+    // nothing is recorded or registered.
+    BatchFixture fx;
+    const std::vector<fi::Injection> plan = mixed_plan(fx.sys.system(), fx.golden->run.length);
+    obs::stage_ledger() = obs::StageLedger{};  // drop kernel steps made outside a flush
+    auto& reg = obs::MetricsRegistry::global();
+    const obs::MetricsSnapshot before = reg.snapshot();
+    fi::BatchRunner batch = fx.make_runner();
+    for (const fi::Injection& inj : plan) (void)batch.submit(inj);
+    batch.flush();
+    const obs::MetricsSnapshot delta = obs::MetricsSnapshot::diff(before, reg.snapshot());
+    const auto cycles = [&](const char* stage) {
+        return delta.counter(std::string("fi.stage_cycles.") + stage);
+    };
+    const obs::StageLedger& ledger = obs::stage_ledger();
+    EXPECT_EQ(ledger.runner_cycles, 0U);  // published and zeroed
+    if constexpr (!obs::kStageLedger) {
+        EXPECT_EQ(delta.find("fi.stage_cycles.runner"), nullptr);
+        EXPECT_EQ(ledger.follower_lane_ticks, 0U);
+        return;
+    }
+    const std::uint64_t runner = cycles("runner");
+    ASSERT_GT(runner, 0U);
+    std::uint64_t stages = 0;
+    for (const char* s : {"fork_launch", "kernel_step", "scan", "retire", "merge_check"}) {
+        stages += cycles(s);
+    }
+    EXPECT_LE(stages, runner);
+    EXPECT_GE(static_cast<double>(stages), 0.95 * static_cast<double>(runner));
+    std::uint64_t kernel = 0;
+    for (std::size_t s = static_cast<std::size_t>(obs::Stage::kPlantSense);
+         s < obs::kStageCount; ++s) {
+        kernel += cycles(obs::kStageNames[s]);
+    }
+    EXPECT_GT(kernel, 0U);
+    EXPECT_LE(kernel, cycles("kernel_step"));
+    EXPECT_GT(delta.counter("fi.lanes.follower_ticks"), 0U);
+    EXPECT_LE(delta.counter("fi.lanes.follower_ticks"), batch.stats().ticks_executed);
 }
 
 TEST(BatchRunner, InvalidPlansAreRejected) {

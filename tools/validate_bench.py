@@ -7,6 +7,9 @@ obs_overhead, timeline_overhead, analytic, serve).
 Shared shapes live in '$defs' and are resolved through local
 '#/$defs/...' $ref pointers.
 
+Beyond the schema: a timing that carries `lanes_retired_merged` must
+have `lanes_launched` equal to the sum of its four retire counts.
+
 Stdlib-only implementation of the JSON-Schema subset the bench schema
 uses (type / const / enum / required / properties / additionalProperties /
 propertyNames / pattern / minimum / items / local $ref), so CI needs no
@@ -111,7 +114,26 @@ def validate_bench_file(bench_path, schema):
         known = sorted(schema.get("benchmarks", {}))
         return [f"{bench_path}: $.benchmark: unknown benchmark {name!r} (known: {known})"], name
     validate(doc, sub, schema, "$", errors)
+    check_lane_counts(doc, errors)
     return [f"{bench_path}: {e}" for e in errors], name
+
+
+LANE_RETIREMENTS = ("lanes_retired_pruned", "lanes_retired_sealed", "lanes_retired_end",
+                    "lanes_retired_merged")
+
+
+def check_lane_counts(doc, errors):
+    """Every launched lane retires exactly one way: where a timing carries
+    the merged count, launched must equal the four retire counts' sum."""
+    for key, timing in doc.items():
+        if not isinstance(timing, dict) or "lanes_retired_merged" not in timing:
+            continue
+        counts = [timing.get(k) for k in ("lanes_launched",) + LANE_RETIREMENTS]
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+            continue  # type errors are reported by the schema check
+        if counts[0] != sum(counts[1:]):
+            errors.append(f"$.{key}: lanes_launched {counts[0]} != retired "
+                          f"{' + '.join(str(c) for c in counts[1:])}")
 
 
 def main(argv):
